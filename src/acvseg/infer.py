@@ -34,7 +34,9 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
     Labels are uniform over the set with no immediate repeats (a singleton
     set is exempt); sampling stops right after the sum of lambdas passes
     num_frames, and sequences that fail to cover the set are discarded and
-    redrawn, up to a global attempt cap.
+    redrawn, up to a global attempt cap.  A set that no draw can cover
+    fails at once: every label but the last must be placed while the total
+    is still <= num_frames.
     """
     if isinstance(rng, (int, np.integer)):
         rng = fork_rng(rng, "sample")
@@ -42,6 +44,9 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
     lam = np.asarray(lambdas, dtype=np.float64)[labels]
     if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
+    if np.sort(lam)[:-1].sum() > num_frames:
+        raise ValueError("no sequence can cover the set: its %d shortest mean lengths "
+                         "exceed %d frames" % (lam.shape[0] - 1, num_frames))
     need = set(labels.tolist())
     out = []
     attempts = 0
@@ -118,6 +123,8 @@ def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
         seg, score = cache[actions]
         if best is None or score > best[1]:
             best = (seg, score)
+    if best[1] == -np.inf:
+        raise ValueError("every candidate sequence scores -inf")
     return best
 
 

@@ -79,9 +79,8 @@ class FrameScores:
 
 @dataclass(frozen=True, eq=False)
 class ForwardCache:
-    x: np.ndarray   # (T, dim)
-    z1: np.ndarray  # (n_hidden, T) pre-activation
-    h: np.ndarray   # (n_hidden, T) post-ReLU
+    x: np.ndarray  # (T, dim)
+    h: np.ndarray  # (n_hidden, T) post-ReLU; h > 0 exactly where the pre-activation is
 
 
 def _features(x):
@@ -94,14 +93,16 @@ def forward(params, x, want_cache=False):
     x = _features(x)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError("features must be (T, %d)" % params.dim)
-    z1 = params.W1 @ x.T + params.b1[:, None]
-    h = np.maximum(z1, 0.0)
+    # build the hidden layer in place: one (n_hidden, T) allocation per call
+    h = params.W1 @ x.T
+    h += params.b1[:, None]
+    np.maximum(h, 0.0, out=h)
     logits = params.W2 @ h + params.b2[:, None]
     log_sig = -np.logaddexp(0.0, -logits)
     log_soft = logits - logsumexp(logits, axis=0, keepdims=True)
     scores = FrameScores(logits, expit(logits), log_sig, np.exp(log_soft), log_soft)
     if want_cache:
-        return scores, ForwardCache(x, z1, h)
+        return scores, ForwardCache(x, h)
     return scores
 
 
@@ -109,8 +110,8 @@ def backward(params, cache, d_logits):
     """Gradients of any loss given its gradient at the logits."""
     d_b2 = d_logits.sum(axis=1)
     d_w2 = d_logits @ cache.h.T
-    d_h = params.W2.T @ d_logits
-    d_z1 = d_h * (cache.z1 > 0.0)
+    d_z1 = params.W2.T @ d_logits  # d_h until masked by the ReLU in place
+    d_z1 *= cache.h > 0.0
     d_b1 = d_z1.sum(axis=1)
     d_w1 = d_z1 @ cache.x
     return {"W1": d_w1, "b1": d_b1, "W2": d_w2, "b2": d_b2}
@@ -179,7 +180,8 @@ def sgd_step(params, grads, lr):
 def mil_loss_and_grads(params, x, action_set, want_grads=True):
     """Video-level multi-instance objective: per class, binary cross-entropy
     between the max-pooled sigmoid score and set membership, averaged over
-    classes.  The gradient flows through the max-pooled frame only."""
+    classes.  The gradient flows through the max-pooled frame only, so the
+    backward pass runs over those (at most n_classes) frames alone."""
     scores, cache = forward(params, x, want_cache=True)
     f = scores.sigmoid
     n_classes = f.shape[0]
@@ -191,9 +193,11 @@ def mil_loss_and_grads(params, x, action_set, want_grads=True):
     loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
     if not want_grads:
         return loss, None
-    d_logits = np.zeros_like(f)
-    d_logits[np.arange(n_classes), best_t] = (pooled - y) / n_classes
-    return loss, backward(params, cache, d_logits)
+    frames, col = np.unique(best_t, return_inverse=True)
+    d_logits = np.zeros((n_classes, frames.shape[0]))
+    d_logits[np.arange(n_classes), col] = (pooled - y) / n_classes
+    pooled_cache = ForwardCache(cache.x[frames], cache.h[:, frames])
+    return loss, backward(params, pooled_cache, d_logits)
 
 
 def mil_pretrain(params, corpus, epochs, lr, seed=0):

@@ -84,12 +84,17 @@ def pseudo_ground_truth(mlp_params, hmm_params, video, cfg, scores=None):
     return seg, anchors, sal, scores, score
 
 
-def loss_and_grads(mlp_params, features, action_set, pseudo_labels, tau, beta):
+def loss_and_grads(mlp_params, features, action_set, pseudo_labels, tau, beta,
+                   scored=None):
     """Cross-entropy on the pseudo labels plus beta times saliency diversity,
     with gradients for every scorer tensor.  The diversity term reaches the
     logits through the saliency construction; the per-frame min is handled
-    by a subgradient at the argmin row."""
-    scores, cache = scorer.forward(mlp_params, features, want_cache=True)
+    by a subgradient at the argmin row.  `scored` is the (scores, cache)
+    pair of scorer.forward(mlp_params, features, want_cache=True) when the
+    caller already has it."""
+    if scored is None:
+        scored = scorer.forward(mlp_params, features, want_cache=True)
+    scores, cache = scored
     ce, d_logits = scorer.cross_entropy_loss(scores, pseudo_labels)
     div = 0.0
     if beta != 0.0 and len(action_set) > 1:
@@ -124,11 +129,14 @@ def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None, probe_siz
     for i in range(start_iter, start_iter + cfg.iters):
         rng = fork_rng(cfg.seed, "train", i)
         video = videos[int(rng.integers(n_videos))]
-        seg, _, _, scores, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg)
+        # one forward per iteration: the params do not change before the SGD step
+        scored = scorer.forward(mlp_params, video.features, want_cache=True)
+        seg, _, _, _, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg,
+                                              scores=scored[0])
         hmm_params = hmm_mod.update_refined(hmm_params, seg, n_videos)
         pseudo = expand_segmentation(seg)
         _, ce, div, grads = loss_and_grads(mlp_params, video.features, video.action_set,
-                                           pseudo, cfg.tau, cfg.beta)
+                                           pseudo, cfg.tau, cfg.beta, scored=scored)
         mlp_params = scorer.sgd_step(mlp_params, grads, cfg.lr_at(i))
         ce_sum += ce
         div_sum += div

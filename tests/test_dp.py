@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+from acvseg import dp
+
+
+def stage_grid(w1, w2, offset, lam):
+    """The padded length profile best_cuts builds for two cut domains whose
+    first cuts lie `offset` frames apart; lengths <= 0 are -inf."""
+    pois = dp.poisson_table([lam], w1 + w2 + abs(offset))[0]
+    base = offset - (w1 - 1)
+    profile = np.full(w1 - 1 + w2, dp.NEG_INF)
+    lo, hi = max(base, 1), offset + w2 - 1
+    if hi >= lo:
+        profile[lo - base: hi - base + 1] = pois[lo: hi + 1]
+    return profile
+
+
+def test_monotone_row_max_equals_dense_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for trial in range(2000):
+        w1, w2 = (int(v) for v in rng.integers(1, 48, size=2))
+        offset = int(rng.integers(-w1 - 3, w2 + 4))
+        profile = stage_grid(w1, w2, offset, float(rng.uniform(0.5, 60.0)))
+        kind = trial % 3
+        if kind == 0:
+            q = np.zeros(w2)  # ties everywhere
+        elif kind == 1:
+            q = rng.integers(0, 3, size=w2).astype(np.float64)
+        else:
+            q = np.cumsum(rng.standard_normal(w2))
+        cut = int(rng.integers(0, w2 + 1))
+        if trial % 4 == 1:
+            q[:cut] = dp.NEG_INF  # pruned early states
+        elif trial % 4 == 2:
+            q[cut:] = dp.NEG_INF  # infeasible late states: all -inf suffix rows
+        got = dp._row_max_monotone(profile, q, w1)
+        np.testing.assert_array_equal(got, dp._row_max_dense(profile, q, w1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_best_cuts_takes_the_same_path_on_either_step(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        t_total = int(rng.integers(20, 120))
+        n_seg = int(rng.integers(2, 7))
+        lam = rng.uniform(2.0, 2.0 * t_total / n_seg, size=n_seg)
+        if rng.random() < 0.3:
+            loglik = np.zeros((n_seg, t_total))
+        else:
+            loglik = rng.standard_normal((n_seg, t_total)) * rng.uniform(0.1, 3.0)
+        if rng.random() < 0.5:
+            # narrow, anchor-like domains
+            cuts = np.sort(rng.choice(np.arange(1, t_total - 2), n_seg - 1, replace=False))
+            radius = int(rng.integers(0, 6))
+            domains = tuple((max(0, int(c) - radius), min(t_total - 2, int(c) + radius))
+                            for c in cuts)
+        else:
+            domains = tuple((k, t_total - 1 - (n_seg - 1 - k)) for k in range(n_seg - 1))
+        prune = None if rng.random() < 0.5 else float(rng.uniform(1.0, 2.0))
+        results = []
+        for min_cells in (10 ** 12, 0):  # dense only, then monotone only
+            monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
+            try:
+                lengths, score = dp.best_cuts(loglik, lam, domains, prune_factor=prune)
+                results.append((tuple(lengths), score))
+            except ValueError as err:
+                results.append(str(err))
+        assert results[0] == results[1]

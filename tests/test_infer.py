@@ -54,10 +54,22 @@ class TestSampleSequences:
         b = infer.sample_sequences(members, lam, 40, 20, 9)
         assert [c.actions for c in a] == [c.actions for c in b]
 
-    def test_uncoverable_set_hits_the_attempt_cap(self):
-        with pytest.raises(ValueError):
+    def test_uncoverable_set_fails_at_once(self, monkeypatch):
+        # a spin up to the attempt cap would fail with the cap's message instead
+        monkeypatch.setattr(infer, "RESAMPLE_CAP", 0)
+        with pytest.raises(ValueError, match="no sequence can cover"):
             infer.sample_sequences(ActionSet([0, 1]), np.array([50.0, 50.0]),
                                    10, 1, 0)
+
+    def test_shortest_lengths_filling_the_video_still_cover(self):
+        # 4 + 6 == 10: both short labels fit before the stop rule fires
+        lam = np.array([4.0, 6.0, 10.0])
+        seqs = infer.sample_sequences(ActionSet([0, 1, 2]), lam, 10, 20, 3)
+        for cand in seqs:
+            check_candidate(cand, lam, 10)
+        assert {cand.actions for cand in seqs} == {(0, 1, 2), (1, 0, 2)}
+        with pytest.raises(ValueError, match="no sequence can cover"):
+            infer.sample_sequences(ActionSet([0, 1, 2]), lam, 9, 1, 3)
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +208,12 @@ class TestAlignVideo:
             seg_mofs.append(metrics.mof(expand_segmentation(s), gt))
             align_mofs.append(metrics.mof(expand_segmentation(a), gt))
         assert np.mean(align_mofs) >= np.mean(seg_mofs)
+
+    def test_every_candidate_impossible_is_an_error(self):
+        params, x, mlp = two_class_setup()
+        params.transitions[:] = 0.0
+        with pytest.raises(ValueError, match="-inf"):
+            infer.align_video(x, ActionSet([0, 1]), mlp, params, k=8, seed=0)
 
     def test_posterior_improves_with_more_candidates(self):
         rng = np.random.default_rng(6)

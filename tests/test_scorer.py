@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,36 @@ class TestMilPretrain:
         b = scorer.mil_pretrain(p, corpus, epochs=5, lr=0.05, seed=7)
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestMilLossAndGrads:
+    def test_pooled_backward_matches_full_backward(self):
+        rng = np.random.default_rng(4)
+        p = scorer.MlpParams.init(5, 4, n_hidden=16, seed=4)
+        x = rng.standard_normal((30, 5))
+        aset = ActionSet([1, 3])
+        _, grads = scorer.mil_loss_and_grads(p, x, aset)
+        scores, cache = scorer.forward(p, x, want_cache=True)
+        f = scores.sigmoid
+        best_t = f.argmax(axis=1)
+        pooled = f[np.arange(4), best_t]
+        d_logits = np.zeros_like(f)
+        d_logits[np.arange(4), best_t] = (pooled - np.isin(np.arange(4), [1, 3])) / 4
+        full = scorer.backward(p, cache, d_logits)
+        for name in ("W1", "b1", "W2", "b2"):
+            # only the summation order differs
+            np.testing.assert_allclose(grads[name], full[name], rtol=1e-12, atol=1e-15)
+
+    def test_peak_allocation_stays_near_one_hidden_layer(self):
+        t_total, n_hidden = 1200, scorer.N_HIDDEN
+        x = np.random.default_rng(5).standard_normal((t_total, 32))
+        p = scorer.MlpParams.init(32, 7, seed=5)
+        aset = ActionSet([0, 2, 5])
+        scorer.mil_loss_and_grads(p, x, aset)
+        tracemalloc.start()
+        try:
+            scorer.mil_loss_and_grads(p, x, aset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n_hidden * t_total * 8

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from acvseg import data, hmm, scorer, training
-from acvseg.core import validate_segmentation
+from acvseg.core import ActionSet, validate_segmentation
 from acvseg.data import SynthSpec
 from acvseg.training import TrainConfig
 
@@ -124,8 +126,38 @@ class TestLossAndGrads:
             mlp, video.features, video.action_set, pseudo, 8, 0.0)
         assert div == 0.0 and total == ce
 
+    def test_peak_allocation_stays_near_two_hidden_layers(self):
+        t_total, n_hidden = 1200, scorer.N_HIDDEN
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((t_total, 32))
+        mlp = scorer.MlpParams.init(32, 7, seed=6)
+        aset = ActionSet([0, 2, 5])
+        pseudo = rng.choice([0, 2, 5], size=t_total)
+        training.loss_and_grads(mlp, x, aset, pseudo, 15, 0.4)
+        tracemalloc.start()
+        try:
+            training.loss_and_grads(mlp, x, aset, pseudo, 15, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n_hidden * t_total * 8
+
 
 class TestTrain:
+    def test_one_forward_per_iteration(self, corpus, monkeypatch):
+        _, videos = corpus
+        hp, mlp = fresh_params(videos)
+        calls = []
+        forward = scorer.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(scorer, "forward", counted)
+        training.train(videos, hp, mlp, small_cfg(iters=7))
+        assert len(calls) == 7
+
     def test_deterministic_under_seed(self, corpus):
         _, videos = corpus
         hp, mlp = fresh_params(videos)
