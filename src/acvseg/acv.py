@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .core import Segmentation
 
 
 @dataclass(frozen=True)
@@ -211,14 +210,8 @@ def constrained_viterbi(graph, loglik, hmm_params, prune=False):
     classes = sorted(actions)
     if loglik.shape != (len(classes), graph.num_frames):
         raise ValueError("need a likelihood row per action of the set")
-    row = {c: i for i, c in enumerate(classes)}
-    stage_loglik = loglik[[row[c] for c in actions]]
-    stage_lambdas = hmm_params.lambdas[actions]
-    lengths, score = dp.best_cuts(stage_loglik, stage_lambdas, graph.cut_domains,
-                                  prune_factor=1.5 if prune else None)
-    with np.errstate(divide="ignore"):
-        score += np.log(hmm_params.transitions[actions[:-1], actions[1:]]).sum()
-    return Segmentation(actions, lengths), float(score)
+    return dp.best_segmentation(actions, loglik, classes, hmm_params, graph.cut_domains,
+                                prune_factor=1.5 if prune else None)
 
 
 def write_acv_dump(path, anchor_set, seg):

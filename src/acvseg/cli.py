@@ -2,9 +2,7 @@
 segmentation, alignment, evaluation, and oracle equivalence sweeps.
 
 Exit codes: 0 on success, 2 on usage errors (including missing input
-files), 1 on runtime failures with a one-line diagnostic.  The environment
-variable ACVSEG_THREADS caps worker threads for per-video test-time work;
-outputs do not depend on the thread count.
+files), 1 on runtime failures with a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -12,24 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import acv, data, hmm as hmm_mod, infer, metrics, oracle, scorer, training
 from .core import expand_segmentation
 from .rng import fork_rng
-
-
-def n_threads():
-    raw = os.environ.get("ACVSEG_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            print("usage error: ACVSEG_THREADS must be an integer", file=sys.stderr)
-            sys.exit(2)
-    return os.cpu_count() or 1
 
 
 def _require_files(*paths):
@@ -104,7 +90,7 @@ def _predict(args, task):
         training_sets = [v.action_set for v in src_videos]
     os.makedirs(args.out, exist_ok=True)
 
-    def run(video):
+    for video in videos:
         seed = fork_rng(args.seed, task, video.video_id).integers(2 ** 31)
         if task == "segment":
             seg, _ = infer.segment_video(video.features, training_sets, mlp, hmm_params,
@@ -114,11 +100,7 @@ def _predict(args, task):
                                        k=args.k, seed=seed)
         path = os.path.join(args.out, video.video_id + ".txt")
         data.write_labels(path, expand_segmentation(seg), vocab)
-        return path
-
-    with ThreadPoolExecutor(max_workers=n_threads()) as pool:
-        for path in pool.map(run, videos):
-            print("wrote %s" % path)
+        print("wrote %s" % path)
 
 
 def cmd_segment(args):
@@ -151,8 +133,8 @@ def cmd_eval(args):
         pooled_gt.extend((c, s + offset, e + offset) for c, s, e in gt_segs)
         offset += gt.num_frames
         rows.append(_metric_row(rec.video_id, args.metric, pred, gt, pred_segs, gt_segs))
-    overall_pred = np.concatenate([metrics.labels_arr(p) for p, _ in pairs])
-    overall_gt = np.concatenate([metrics.labels_arr(g) for _, g in pairs])
+    overall_pred = np.concatenate([p.labels for p, _ in pairs])
+    overall_gt = np.concatenate([g.labels for _, g in pairs])
     rows.append(_metric_row("overall", args.metric, overall_pred, overall_gt,
                             pooled_pred, pooled_gt))
     headers = ["video"] + _metric_names(args.metric)

@@ -160,9 +160,14 @@ def expand_segmentation(seg):
                                    np.asarray(seg.lengths, dtype=np.int64)))
 
 
+def label_array(labeling):
+    """The per-frame label ids of a FrameLabeling or an array-like."""
+    return labeling.labels if isinstance(labeling, FrameLabeling) else np.asarray(labeling)
+
+
 def segmentation_from_labels(labeling):
     """Per-frame labels -> maximal-run segment list (inverse of expand)."""
-    labels = labeling.labels if isinstance(labeling, FrameLabeling) else np.asarray(labeling)
+    labels = label_array(labeling)
     change = np.flatnonzero(np.diff(labels)) + 1
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change, [labels.shape[0]]))

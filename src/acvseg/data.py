@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSet, FrameFeatures, FrameLabeling, Vocabulary
+from .core import ActionSet, FrameFeatures, FrameLabeling, Vocabulary, label_array
 from .hmm import HmmParams
 from .rng import fork_rng
 from .scorer import MlpParams
@@ -56,7 +56,7 @@ def read_features(path):
 # ------------------------------------------------------------------ labels
 
 def write_labels(path, labeling, vocab):
-    labels = labeling.labels if isinstance(labeling, FrameLabeling) else np.asarray(labeling)
+    labels = label_array(labeling)
     with open(path, "w") as fh:
         for c in labels:
             fh.write(vocab.name_of(int(c)) + "\n")

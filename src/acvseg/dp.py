@@ -6,9 +6,10 @@ free cuts, each restricted to an inclusive domain.  The search maximizes
 
     sum_n [ log p(l_n | lambda_n) + sum_{t in segment n} loglik[n, t] ]
 
-exactly; transition terms are constants for a fixed label sequence and are
-added by the callers.  Score ties are broken toward the lexicographically
-earliest cut vector.
+exactly.  Score ties are broken toward the lexicographically earliest cut
+vector.  `best_segmentation` adds the transition terms, constants for a
+fixed label sequence; training's anchor-constrained Viterbi and inference's
+alignment both score through it, with different cut domains.
 
 The backward pass is a max-plus product per stage pair over the (w1, w2)
 grid of their cut domains.  Below MONOTONE_MIN_CELLS cells it is taken
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import gammaln
+
+from .core import Segmentation
 
 NEG_INF = -np.inf
 # Stage grids with at least this many cells take the monotone row-max step,
@@ -180,3 +183,21 @@ def best_cuts(stage_loglik, stage_lambdas, domains, prune_factor=None):
     bounds = np.array([-1] + cuts + [t_total - 1])
     lengths = np.diff(bounds)
     return lengths, float(total)
+
+
+def best_segmentation(actions, loglik, classes, hmm_params, domains, prune_factor=None):
+    """Best cut placement for the label sequence `actions` under the segment
+    HMM: lengths, frame likelihoods and transitions.
+
+    loglik rows follow the sorted `classes`, as in oracle.score_segmentation;
+    domains and prune_factor are those of best_cuts.  Returns
+    (Segmentation, log-score).
+    """
+    actions = [int(c) for c in actions]
+    row = {c: i for i, c in enumerate(classes)}
+    stage_loglik = np.asarray(loglik)[[row[c] for c in actions]]
+    lengths, score = best_cuts(stage_loglik, hmm_params.lambdas[actions], domains,
+                               prune_factor=prune_factor)
+    with np.errstate(divide="ignore"):
+        score += np.log(hmm_params.transitions[actions[:-1], actions[1:]]).sum()
+    return Segmentation(actions, lengths), float(score)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp, hmm as hmm_mod, scorer
-from .core import ActionSet, Segmentation
+from .core import ActionSet
 from .rng import fork_rng
 
 RESAMPLE_CAP = 10 ** 6
@@ -74,23 +74,13 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
 
 def _alignment_domains(n_seg, num_frames):
     # every segment keeps at least one frame
+    if num_frames < n_seg:
+        raise ValueError("more segments than frames")
     return tuple((k, num_frames - 1 - (n_seg - 1 - k)) for k in range(n_seg - 1))
 
 
 def _likelihood_rows(scores, classes, priors):
     return hmm_mod.log_frame_likelihood(scores.log_softmax[classes], priors[classes])
-
-
-def _align(actions, loglik_by_class, hmm_params, num_frames):
-    actions = list(actions)
-    if num_frames < len(actions):
-        raise ValueError("more segments than frames")
-    stage_loglik = np.stack([loglik_by_class[c] for c in actions])
-    lengths, score = dp.best_cuts(stage_loglik, hmm_params.lambdas[actions],
-                                  _alignment_domains(len(actions), num_frames))
-    with np.errstate(divide="ignore"):
-        score += np.log(hmm_params.transitions[actions[:-1], actions[1:]]).sum()
-    return Segmentation(actions, lengths), float(score)
 
 
 def align_sequence(candidate, x, mlp_params, hmm_params):
@@ -100,8 +90,8 @@ def align_sequence(candidate, x, mlp_params, hmm_params):
     scores = scorer.forward(mlp_params, x)
     classes = sorted(set(actions))
     rows = _likelihood_rows(scores, classes, hmm_params.priors)
-    by_class = {c: rows[i] for i, c in enumerate(classes)}
-    return _align(actions, by_class, hmm_params, scores.logits.shape[1])
+    return dp.best_segmentation(actions, rows, classes, hmm_params,
+                                _alignment_domains(len(actions), rows.shape[1]))
 
 
 def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
@@ -110,7 +100,6 @@ def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
     seqs = sample_sequences(action_set, hmm_params.lambdas, num_frames, k, rng)
     classes = sorted(action_set)
     rows = _likelihood_rows(scores, classes, hmm_params.priors)
-    by_class = {c: rows[i] for i, c in enumerate(classes)}
     best = None
     cache = {}
     for cand in seqs:
@@ -119,7 +108,9 @@ def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
         actions = tuple(c for i, c in enumerate(cand.actions)
                         if i == 0 or c != cand.actions[i - 1])
         if actions not in cache:
-            cache[actions] = _align(actions, by_class, hmm_params, num_frames)
+            cache[actions] = dp.best_segmentation(
+                actions, rows, classes, hmm_params,
+                _alignment_domains(len(actions), num_frames))
         seg, score = cache[actions]
         if best is None or score > best[1]:
             best = (seg, score)

@@ -6,20 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FrameLabeling
+from .core import label_array, segmentation_from_labels
 
 
 def labeling_to_segments(labeling):
     """Maximal same-label runs of a frame labeling."""
-    labels = labels_arr(labeling)
-    change = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [labels.shape[0]]))
-    return [(int(labels[s]), int(s), int(e)) for s, e in zip(starts, ends)]
-
-
-def labels_arr(labeling):
-    return labeling.labels if isinstance(labeling, FrameLabeling) else np.asarray(labeling)
+    return segmentation_to_segments(segmentation_from_labels(labeling))
 
 
 def segmentation_to_segments(seg):
@@ -33,8 +25,8 @@ def segmentation_to_segments(seg):
 
 def mof(pred, gt):
     """Fraction of frames labeled correctly."""
-    pred = labels_arr(pred)
-    gt = labels_arr(gt)
+    pred = label_array(pred)
+    gt = label_array(gt)
     if pred.shape != gt.shape:
         raise ValueError("labelings differ in length")
     return float((pred == gt).mean())
@@ -45,8 +37,8 @@ def corpus_mof(pairs):
     correct = 0
     total = 0
     for pred, gt in pairs:
-        pred = labels_arr(pred)
-        gt = labels_arr(gt)
+        pred = label_array(pred)
+        gt = label_array(gt)
         if pred.shape != gt.shape:
             raise ValueError("labelings differ in length")
         correct += int((pred == gt).sum())

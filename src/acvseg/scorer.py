@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from .core import label_array
 from .rng import fork_rng
 
 N_HIDDEN = 256
@@ -88,8 +89,8 @@ def _features(x):
     return np.asarray(values, dtype=np.float64)
 
 
-def forward(params, x, want_cache=False):
-    """Score every frame; x is (T, dim) or a FrameFeatures."""
+def _hidden_and_logits(params, x):
+    """(x as a (T, dim) array, post-ReLU hidden layer, logits)."""
     x = _features(x)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError("features must be (T, %d)" % params.dim)
@@ -97,7 +98,12 @@ def forward(params, x, want_cache=False):
     h = params.W1 @ x.T
     h += params.b1[:, None]
     np.maximum(h, 0.0, out=h)
-    logits = params.W2 @ h + params.b2[:, None]
+    return x, h, params.W2 @ h + params.b2[:, None]
+
+
+def forward(params, x, want_cache=False):
+    """Score every frame; x is (T, dim) or a FrameFeatures."""
+    x, h, logits = _hidden_and_logits(params, x)
     log_sig = -np.logaddexp(0.0, -logits)
     log_soft = logits - logsumexp(logits, axis=0, keepdims=True)
     scores = FrameScores(logits, expit(logits), log_sig, np.exp(log_soft), log_soft)
@@ -123,7 +129,7 @@ def cross_entropy_loss(scores, pseudo_labels):
     Every class contributes at every frame: the pseudo-label class through
     log p, all others through log(1 - p).  Returns (loss, d_logits).
     """
-    labels = np.asarray(getattr(pseudo_labels, "labels", pseudo_labels), dtype=np.int64)
+    labels = np.asarray(label_array(pseudo_labels), dtype=np.int64)
     p = scores.softmax
     n_classes, t_total = p.shape
     if labels.shape != (t_total,):
@@ -181,9 +187,10 @@ def mil_loss_and_grads(params, x, action_set, want_grads=True):
     """Video-level multi-instance objective: per class, binary cross-entropy
     between the max-pooled sigmoid score and set membership, averaged over
     classes.  The gradient flows through the max-pooled frame only, so the
-    backward pass runs over those (at most n_classes) frames alone."""
-    scores, cache = forward(params, x, want_cache=True)
-    f = scores.sigmoid
+    backward pass runs over those (at most n_classes) frames alone.  Only the
+    sigmoid reading of the logits is computed."""
+    x, h, logits = _hidden_and_logits(params, x)
+    f = expit(logits)
     n_classes = f.shape[0]
     best_t = f.argmax(axis=1)
     pooled = f[np.arange(n_classes), best_t]
@@ -196,7 +203,7 @@ def mil_loss_and_grads(params, x, action_set, want_grads=True):
     frames, col = np.unique(best_t, return_inverse=True)
     d_logits = np.zeros((n_classes, frames.shape[0]))
     d_logits[np.arange(n_classes), col] = (pooled - y) / n_classes
-    pooled_cache = ForwardCache(cache.x[frames], cache.h[:, frames])
+    pooled_cache = ForwardCache(x[frames], h[:, frames])
     return loss, backward(params, pooled_cache, d_logits)
 
 

@@ -19,6 +19,9 @@ from .core import expand_segmentation
 from .data import read_features, read_labels
 from .rng import fork_rng
 
+# labelled videos whose anchor IoD is logged with each training progress line
+PROBE_SIZE = 5
+
 
 @dataclass
 class TrainConfig:
@@ -115,7 +118,7 @@ class TrainStats:
     log_lines: list = field(default_factory=list)
 
 
-def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None, probe_size=5):
+def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
     """Run cfg.iters iterations starting at start_iter; returns the updated
     (hmm_params, mlp_params, stats).  Videos must carry in-memory features."""
     if not videos:
@@ -123,7 +126,7 @@ def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None, probe_siz
     hmm_params = hmm_params.copy()
     mlp_params = mlp_params.copy()
     n_videos = len(videos)
-    probe = [v for v in videos if v.gt_labels is not None][:probe_size]
+    probe = [v for v in videos if v.gt_labels is not None][:PROBE_SIZE]
     stats = TrainStats()
     ce_sum, div_sum, since = 0.0, 0.0, 0
     for i in range(start_iter, start_iter + cfg.iters):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from acvseg.core import (ActionSet, FrameFeatures, FrameLabeling, Segmentation,
-                         Vocabulary, expand_segmentation, segmentation_from_labels,
-                         validate_segmentation)
+                         Vocabulary, expand_segmentation, label_array,
+                         segmentation_from_labels, validate_segmentation)
 
 
 def test_expand_single_segment():
@@ -91,3 +91,9 @@ def test_vocabulary_bijection():
         Vocabulary(["walk", "walk"])
     with pytest.raises(ValueError):
         vocab.id_of("jump")
+
+
+def test_label_array_reads_labelings_and_array_likes():
+    labeling = FrameLabeling([2, 0, 1])
+    assert label_array(labeling) is labeling.labels
+    assert label_array([2, 0, 1]).tolist() == [2, 0, 1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acvseg import dp
+from acvseg import dp, hmm, oracle
 
 
 def stage_grid(w1, w2, offset, lam):
@@ -67,3 +67,23 @@ def test_best_cuts_takes_the_same_path_on_either_step(monkeypatch, seed):
             except ValueError as err:
                 results.append(str(err))
         assert results[0] == results[1]
+
+
+def test_best_segmentation_scores_like_the_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        t_total = int(rng.integers(4, 40))
+        classes = sorted(rng.choice(6, size=3, replace=False).tolist())
+        actions = [classes[i] for i in rng.permutation(3)][:int(rng.integers(1, 4))]
+        trans = rng.random((6, 6))
+        np.fill_diagonal(trans, 0.0)
+        trans[actions[0], actions[-1]] = 0.0  # some sequences carry a -inf transition
+        params = hmm.HmmParams(trans / trans.sum(axis=1, keepdims=True),
+                               rng.uniform(2.0, 20.0, 6), np.full(6, 0.5))
+        loglik = rng.standard_normal((3, t_total))  # rows follow the sorted classes
+        domains = tuple((k, t_total - 1 - (len(actions) - 1 - k))
+                        for k in range(len(actions) - 1))
+        seg, score = dp.best_segmentation(actions, loglik, classes, params, domains)
+        assert seg.actions == tuple(actions) and seg.num_frames == t_total
+        assert score == pytest.approx(oracle.score_segmentation(
+            seg.actions, seg.lengths, loglik, classes, params), abs=1e-9)

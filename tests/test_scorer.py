@@ -266,6 +266,32 @@ class TestMilLossAndGrads:
             # only the summation order differs
             np.testing.assert_allclose(grads[name], full[name], rtol=1e-12, atol=1e-15)
 
+    def test_equals_the_pooled_reference_from_forward_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for trial in range(10):
+            p = scorer.MlpParams.init(6, 5, n_hidden=12, seed=trial)
+            x = rng.standard_normal((int(rng.integers(1, 60)), 6))
+            if trial % 3 == 0:
+                x[:, :] = x[0]  # every frame ties
+            aset = ActionSet(rng.choice(5, size=int(rng.integers(1, 6)), replace=False))
+            loss, grads = scorer.mil_loss_and_grads(p, x, aset)
+
+            scores, cache = scorer.forward(p, x, want_cache=True)
+            f = scores.sigmoid
+            best_t = f.argmax(axis=1)
+            pooled = f[np.arange(5), best_t]
+            y = np.isin(np.arange(5), list(aset)).astype(np.float64)
+            pc = np.clip(pooled, scorer.EPS, 1.0 - scorer.EPS)
+            ref_loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
+            frames, col = np.unique(best_t, return_inverse=True)
+            d_logits = np.zeros((5, frames.shape[0]))
+            d_logits[np.arange(5), col] = (pooled - y) / 5
+            ref = scorer.backward(p, scorer.ForwardCache(cache.x[frames], cache.h[:, frames]),
+                                  d_logits)
+            assert loss == ref_loss
+            for name in ("W1", "b1", "W2", "b2"):
+                np.testing.assert_array_equal(grads[name], ref[name])
+
     def test_peak_allocation_stays_near_one_hidden_layer(self):
         t_total, n_hidden = 1200, scorer.N_HIDDEN
         x = np.random.default_rng(5).standard_normal((t_total, 32))
