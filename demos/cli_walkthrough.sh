@@ -3,7 +3,7 @@
 # Every artifact is a plain text file you can inspect along the way.
 set -e
 
-WORK=$(mktemp -d /tmp/acvseg-cli-XXXXXX)
+WORK=$(mktemp -d "${TMPDIR:-/tmp}"/acvseg-cli-XXXXXX)
 echo "working under $WORK"
 
 # 1. Describe and generate a corpus.  The spec file is plain JSON mapping

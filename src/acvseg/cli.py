@@ -84,10 +84,11 @@ def _predict(args, task):
     if task == "segment":
         source = args.train_manifest or args.manifest
         _require_files(source)
-        src_vocab, src_videos = training.load_corpus(source)
+        # decoding samples only the training action sets, never their features
+        src_vocab, records = data.read_manifest(source)
         if src_vocab != vocab:
             raise ValueError("training-set manifest vocabulary mismatch")
-        training_sets = [v.action_set for v in src_videos]
+        training_sets = [rec.action_set(vocab) for rec in records]
     os.makedirs(args.out, exist_ok=True)
 
     for video in videos:
@@ -224,7 +225,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         if name == "segment":
             p.add_argument("--train-manifest", default=None,
-                           help="manifest whose action sets are sampled at test time "
+                           help="manifest whose action sets are sampled at test time; "
+                           "only its action sets are read, not its feature files "
                            "(default: the test manifest itself)")
         p.set_defaults(func=cmd_segment if name == "segment" else cmd_align)
 

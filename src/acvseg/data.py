@@ -3,8 +3,10 @@
 Every artifact is line-oriented text: feature matrices with a shape header,
 per-frame label files with one action name per line, tab-separated corpus
 manifests, and sectioned checkpoints.  Floats are written with repr so a
-read-back is bit-exact.  The generator writes hidden frame labels to a
-separate file that the training path never reads.
+read-back is bit-exact.  One row parser (numpy's C-level loadtxt) reads
+the float rows of feature files and checkpoint blocks alike; `#` is not a
+comment there but a parse error.  The generator writes hidden frame labels
+to a separate file that the training path never reads.
 """
 
 from __future__ import annotations
@@ -21,8 +23,23 @@ from .rng import fork_rng
 from .scorer import MlpParams
 
 
-def _fmt_row(values):
-    return " ".join(repr(float(v)) for v in values)
+def _write_rows(fh, arr):
+    fh.writelines(" ".join(map(repr, row)) + "\n" for row in arr.tolist())
+
+
+def _parse_rows(lines, shape, where):
+    """Parse rows of whitespace-separated floats (blank lines skipped) into a
+    float64 array that must have the header's `shape`."""
+    if not any(line.strip() for line in lines):
+        # loadtxt would only warn and return an empty array
+        raise ValueError("%s: no rows, header says %s" % (where, shape))
+    try:
+        arr = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (where, exc)) from None
+    if arr.shape != shape:
+        raise ValueError("%s: got shape %s, header says %s" % (where, arr.shape, shape))
+    return arr
 
 
 # ---------------------------------------------------------------- features
@@ -33,8 +50,7 @@ def write_features(path, features):
         raise ValueError("features contain non-finite values")
     with open(path, "w") as fh:
         fh.write("%d %d\n" % x.shape)
-        for row in x:
-            fh.write(_fmt_row(row) + "\n")
+        _write_rows(fh, x)
 
 
 def read_features(path):
@@ -42,24 +58,20 @@ def read_features(path):
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError("%s: malformed feature header" % path)
-        t_total, dim = int(header[0]), int(header[1])
-        rows = []
-        for line in fh:
-            if line.strip():
-                rows.append([float(v) for v in line.split()])
-    x = np.asarray(rows, dtype=np.float64)
-    if x.shape != (t_total, dim):
-        raise ValueError("%s: expected %dx%d values, got %s" % (path, t_total, dim, x.shape))
-    return FrameFeatures(x)
+        shape = (int(header[0]), int(header[1]))
+        lines = fh.readlines()
+    return FrameFeatures(_parse_rows(lines, shape, path))
 
 
 # ------------------------------------------------------------------ labels
 
 def write_labels(path, labeling, vocab):
-    labels = label_array(labeling)
+    labels = label_array(labeling).tolist()
+    if labels and not 0 <= min(labels) <= max(labels) < len(vocab):
+        raise ValueError("label ids outside the vocabulary")
+    names = vocab.names
     with open(path, "w") as fh:
-        for c in labels:
-            fh.write(vocab.name_of(int(c)) + "\n")
+        fh.write("".join([names[c] + "\n" for c in labels]))
 
 
 def read_labels(path, vocab):
@@ -134,8 +146,7 @@ def read_manifest(path):
 def _write_matrix(fh, name, arr):
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
     fh.write(name + " " + " ".join(str(d) for d in arr.shape) + "\n")
-    for row in arr:
-        fh.write(_fmt_row(row) + "\n")
+    _write_rows(fh, arr)
 
 
 class _Reader:
@@ -163,12 +174,13 @@ class _Reader:
         if head[0] != name:
             raise ValueError("%s: expected %r block, found %r" % (self.path, name, head[0]))
         shape = tuple(int(v) for v in head[1:])
-        rows = [np.asarray([float(v) for v in self.next().split()]) for _ in range(shape[0])]
-        arr = np.vstack(rows)
-        if arr.shape != shape:
-            raise ValueError("%s: %r block has shape %s, header says %s"
-                             % (self.path, name, arr.shape, shape))
-        return arr
+        if len(shape) != 2:
+            raise ValueError("%s: %r block needs a 2-D shape" % (self.path, name))
+        rows = self.lines[self.pos:self.pos + shape[0]]
+        if len(rows) < shape[0]:
+            raise ValueError("%s: truncated checkpoint" % self.path)
+        self.pos += len(rows)
+        return _parse_rows(rows, shape, "%s: %r block" % (self.path, name))
 
 
 def write_checkpoint(path, vocab, hmm_params, mlp_params, iteration=0):

@@ -17,6 +17,9 @@ from .core import ActionSet
 from .rng import fork_rng
 
 RESAMPLE_CAP = 10 ** 6
+# picks drawn per rng call; one array draw yields the same values as as many
+# scalar draws, at a fraction of the per-call overhead
+DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,9 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
     num_frames, and sequences that fail to cover the set are discarded and
     redrawn, up to a global attempt cap.  A set that no draw can cover
     fails at once: every label but the last must be placed while the total
-    is still <= num_frames.
+    is still <= num_frames.  Picks are drawn from `rng` in blocks of
+    DRAW_BLOCK, so the candidates equal those of one scalar draw per pick,
+    but `rng` may end the call advanced past the last pick it used.
     """
     if isinstance(rng, (int, np.integer)):
         rng = fork_rng(rng, "sample")
@@ -47,7 +52,9 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
     if np.sort(lam)[:-1].sum() > num_frames:
         raise ValueError("no sequence can cover the set: its %d shortest mean lengths "
                          "exceed %d frames" % (lam.shape[0] - 1, num_frames))
-    need = set(labels.tolist())
+    ids, means = labels.tolist(), lam.tolist()
+    need = set(ids)
+    draws = _uniform_picks(rng, len(ids))
     out = []
     attempts = 0
     while len(out) < k:
@@ -58,18 +65,23 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
         total = 0.0
         prev = -1
         while total <= num_frames:
-            if labels.shape[0] == 1:
+            if len(ids) == 1:
                 pick = 0
             else:
-                pick = int(rng.integers(labels.shape[0]))
-                while labels[pick] == prev:
-                    pick = int(rng.integers(labels.shape[0]))
-            total += lam[pick]
-            prev = int(labels[pick])
+                pick = next(draws)
+                while ids[pick] == prev:
+                    pick = next(draws)
+            total += means[pick]
+            prev = ids[pick]
             seq.append(prev)
         if need.issubset(seq):
             out.append(CandidateSequence(tuple(seq), action_set))
     return out
+
+
+def _uniform_picks(rng, n):
+    while True:
+        yield from rng.integers(n, size=DRAW_BLOCK).tolist()
 
 
 def _alignment_domains(n_seg, num_frames):

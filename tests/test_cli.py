@@ -117,6 +117,25 @@ class TestPipeline:
                         "--out", str(out)]) == 0
         assert len(list(out.glob("*.txt"))) == 8
 
+    def test_segment_reads_no_training_features(self, pipeline, tmp_path):
+        # a manifest copied away from its corpus names feature files that do
+        # not exist; segment needs only its action sets
+        _, corpus, _, trained = pipeline
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copy(corpus / "manifest.txt", bare / "manifest.txt")
+        _, records = data.read_manifest(str(bare / "manifest.txt"))
+        assert not any(os.path.exists(rec.features_path) for rec in records)
+        outs = []
+        for source in (corpus, bare):
+            out = tmp_path / ("seg_" + source.name)
+            assert run_cli(["segment", "--manifest", str(corpus / "manifest_eval.txt"),
+                            "--train-manifest", str(source / "manifest.txt"),
+                            "--ckpt", str(trained), "--k", "20", "--seed", "4",
+                            "--out", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.glob("*.txt")})
+        assert len(outs[0]) == 8 and outs[0] == outs[1]
+
     def test_eval_on_ground_truth_is_all_ones(self, pipeline, capsys):
         root, corpus, _, _ = pipeline
         pred = root / "gtcopy"

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,64 @@ class TestFeatures:
     def test_nonfinite_rejected_at_write(self, tmp_path):
         with pytest.raises(ValueError):
             data.write_features(tmp_path / "bad.txt", np.array([[np.nan]]))
+
+    def test_header_only_rejected_without_warning(self, tmp_path):
+        for i, text in enumerate(["2 2\n", "0 3\n", "2 2\n\n  \n"]):
+            path = tmp_path / ("x%d.txt" % i)
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError):
+                    data.read_features(path)
+
+    @pytest.mark.parametrize("body", ["1 2\n3 4 # note\n", "# note\n1 2\n3 4\n", "1,2\n3,4\n",
+                                      "1 2 3\n4\n", "1\n2 3 4\n", "1 2\n3 x\n"],
+                             ids=["trailing-hash", "hash-line", "commas", "ragged-3-1",
+                                  "ragged-1-3", "word"])
+    def test_malformed_rows_rejected(self, tmp_path, body):
+        # '#' is a parse error, not a comment; ragged rows whose total
+        # matches the header are still ragged
+        path = tmp_path / "x.txt"
+        path.write_text("2 2\n" + body)
+        with pytest.raises(ValueError):
+            data.read_features(path)
+
+    def test_single_column_and_blank_lines_load(self, tmp_path):
+        path = tmp_path / "column.txt"
+        path.write_text("3 1\n1\n\n2\n   \n3\n\n")
+        np.testing.assert_array_equal(data.read_features(path).values,
+                                      [[1.0], [2.0], [3.0]])
+        path = tmp_path / "gaps.txt"
+        path.write_text("2 2\n\n1 2\n \t \n3 4\n")
+        np.testing.assert_array_equal(data.read_features(path).values,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_edge_values_round_trip_bit_exact(self, tmp_path):
+        x = edge_values().reshape(-1, 8)
+        path = tmp_path / "edge.txt"
+        data.write_features(path, x)
+        assert data.read_features(path).values.tobytes() == x.tobytes()
+
+    def test_written_bytes_equal_repr_per_value(self, tmp_path):
+        x = edge_values().reshape(-1, 16)
+        path = tmp_path / "x.txt"
+        data.write_features(path, x)
+        want = "%d %d\n" % x.shape + "".join(
+            " ".join(repr(float(v)) for v in row) + "\n" for row in x)
+        assert path.read_bytes() == want.encode()
+
+
+def edge_values(n_random=54, seed=3):
+    """Floats that stress a text round trip: signed zero, the smallest
+    subnormal and normal, the largest finite, a classic non-representable
+    sum, and random values that need all 17 significant digits."""
+    rng = np.random.default_rng(seed)
+    fixed = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1.0, -1.0]
+    rand = rng.standard_normal(n_random) * 10.0 ** rng.integers(-300, 300, n_random)
+    values = np.array(fixed + rand.tolist())
+    assert any(float("%.16g" % v) != v for v in rand.tolist())  # 16 digits fall short
+    return values
 
 
 class TestLabels:
@@ -178,8 +237,35 @@ class TestCheckpoint:
         vocab, hp, mlp = small_params()
         path = tmp_path / "ckpt.txt"
         data.write_checkpoint(path, vocab, hp, mlp)
-        text = path.read_text().replace("transitions 3 3", "transitions 3 4")
-        (tmp_path / "broken.txt").write_text(text)
+        for head in ("transitions 3 4", "transitions 3", "transitions"):
+            text = path.read_text().replace("transitions 3 3", head)
+            (tmp_path / "broken.txt").write_text(text)
+            with pytest.raises(ValueError):
+                data.read_checkpoint(tmp_path / "broken.txt")
+
+    def test_edge_values_round_trip_bit_exact(self, tmp_path):
+        vocab, hp, _ = small_params()
+        v = edge_values()
+        mlp = scorer.MlpParams(v[:20].reshape(5, 4), v[20:25], v[25:40].reshape(3, 5),
+                               v[40:43])
+        path = tmp_path / "ckpt.txt"
+        data.write_checkpoint(path, vocab, hp, mlp)
+        _, _, back, _ = data.read_checkpoint(path)
+        for name in ("W1", "b1", "W2", "b2"):
+            assert getattr(back, name).tobytes() == getattr(mlp, name).tobytes()
+
+    @pytest.mark.parametrize("damage", [lambda row: row + " # note",
+                                        lambda row: row.replace(" ", ","),
+                                        lambda row: row.rsplit(" ", 1)[0]],
+                             ids=["comment", "commas", "short"])
+    def test_malformed_block_row_rejected(self, tmp_path, damage):
+        vocab, hp, mlp = small_params()
+        path = tmp_path / "ckpt.txt"
+        data.write_checkpoint(path, vocab, hp, mlp)
+        lines = path.read_text().splitlines()
+        row = lines.index("lambdas 1 3") + 1
+        lines[row] = damage(lines[row])
+        (tmp_path / "broken.txt").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             data.read_checkpoint(tmp_path / "broken.txt")
 

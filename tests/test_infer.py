@@ -75,6 +75,55 @@ class TestSampleSequences:
         with pytest.raises(ValueError):
             infer.sample_sequences(ActionSet([0]), np.array([0.0]), 10, 1, 0)
 
+    def test_block_draws_equal_one_scalar_draw_per_pick(self):
+        rng = np.random.default_rng(5)
+        instances = [(ActionSet([0, 1, 2]), np.array([4.0, 6.0, 10.0]), 10, 20)]
+        for _ in range(400):
+            n = int(rng.integers(1, 8))
+            members = ActionSet(rng.choice(8, size=n, replace=False))
+            lam = rng.uniform(2.0, 30.0, size=8)
+            restricted = lam[members.as_array()]
+            t_total = int(restricted.sum() - restricted.max() + rng.integers(1, 60))
+            instances.append((members, lam, t_total, int(rng.integers(1, 40))))
+        resampled = singletons = 0
+        for i, (members, lam, t_total, k) in enumerate(instances):
+            got = infer.sample_sequences(members, lam, t_total, k,
+                                         fork_rng(i, "block-draws"))
+            want, attempts = scalar_draw_reference(members, lam, t_total, k,
+                                                   fork_rng(i, "block-draws"))
+            assert [c.actions for c in got] == want
+            resampled += attempts > k
+            singletons += len(members) == 1
+        assert resampled >= 50 and singletons >= 20
+
+
+def scalar_draw_reference(action_set, lambdas, num_frames, k, rng):
+    """The sampler with one rng.integers call per pick; returns the sampled
+    label tuples and the number of attempts."""
+    labels = action_set.as_array()
+    lam = np.asarray(lambdas, dtype=np.float64)[labels]
+    need = set(labels.tolist())
+    out = []
+    attempts = 0
+    while len(out) < k:
+        attempts += 1
+        seq = []
+        total = 0.0
+        prev = -1
+        while total <= num_frames:
+            if labels.shape[0] == 1:
+                pick = 0
+            else:
+                pick = int(rng.integers(labels.shape[0]))
+                while labels[pick] == prev:
+                    pick = int(rng.integers(labels.shape[0]))
+            total += lam[pick]
+            prev = int(labels[pick])
+            seq.append(prev)
+        if need.issubset(seq):
+            out.append(tuple(seq))
+    return out, attempts
+
 
 def two_class_setup(t_total=12, strength=6.0):
     """Likelihoods that scream class 0 early and class 1 late."""
