@@ -14,6 +14,9 @@ import numpy as np
 
 from . import dp
 
+# constrained_viterbi(prune=True) caps mean lengths at this many times the frames
+PRUNE_FACTOR = 1.5
+
 
 @dataclass(frozen=True)
 class Anchor:
@@ -162,30 +165,25 @@ def _place(s, order, radius, t_total):
     def interval(i, c):
         return max(0, c - int(radius[i])), min(t_total - 1, c + int(radius[i]))
 
-    for _ in range(m * t_total + 1):
+    # every pass advances one pointer, so this ends within m * t_total passes
+    while True:
         spans = [interval(i, centers[i]) for i in range(m)]
-        clash = None
-        for i in sorted(range(m), key=lambda i: (spans[i][0], i)):
-            for j in range(m):
-                if j != i and not (spans[j][1] < spans[i][0] or spans[j][0] > spans[i][1]):
-                    clash = (i, j) if (s[i, centers[i]], -i) < (s[j, centers[j]], -j) else (j, i)
-                    break
-            if clash:
-                break
+        # the overlapping pair whose first member starts earliest, lowest ids first
+        clash = min(((spans[i][0], i, j) for i in range(m) for j in range(m)
+                     if j != i and spans[j][0] <= spans[i][1] and spans[i][0] <= spans[j][1]),
+                    default=None)
         if clash is None:
             return centers
-        loser, _ = clash
+        loser = min(clash[1:], key=lambda i: (s[i, centers[i]], -i))
         others = [spans[j] for j in range(m) if j != loser]
-        while True:
-            ptr[loser] += 1
-            if ptr[loser] >= t_total:
-                return None
-            c = int(order[loser][ptr[loser]])
+        for p in range(ptr[loser] + 1, t_total):
+            c = int(order[loser][p])
             lo, hi = interval(loser, c)
             if all(o_hi < lo or o_lo > hi for o_lo, o_hi in others):
-                centers[loser] = c
+                ptr[loser], centers[loser] = p, c
                 break
-    raise RuntimeError("anchor placement failed to settle")  # unreachable
+        else:
+            return None
 
 
 def build_graph(anchor_set, num_frames):
@@ -203,15 +201,29 @@ def constrained_viterbi(graph, loglik, hmm_params, prune=False):
 
     loglik rows follow the sorted order of the graph's actions.  Returns
     (Segmentation, log-score); the score includes length, likelihood and
-    transition terms.  Ties go to the earliest cuts.
+    transition terms.  Ties go to the earliest cuts.  prune first tightens
+    each cut domain to a length budget: the mean lengths of segments 0..k
+    must fit in PRUNE_FACTOR times the frames through cut k.
     """
     loglik = np.asarray(loglik, dtype=np.float64)
     actions = [a.action for a in graph.anchors]
     classes = sorted(actions)
     if loglik.shape != (len(classes), graph.num_frames):
         raise ValueError("need a likelihood row per action of the set")
-    return dp.best_segmentation(actions, loglik, classes, hmm_params, graph.cut_domains,
-                                prune_factor=1.5 if prune else None)
+    domains = graph.cut_domains
+    if prune:
+        cumlam = np.cumsum(hmm_params.lambdas[actions])
+        if not cumlam[-1] < PRUNE_FACTOR * graph.num_frames:
+            raise ValueError("pruning eliminated every path: sum(lambda) >= %.3g * T"
+                             % PRUNE_FACTOR)
+        # the budget keeps a suffix of each domain: raise its lo
+        domains = [(next((c for c in range(lo, hi + 1)
+                          if cumlam[k] <= PRUNE_FACTOR * (c + 1.0)), None), hi)
+                   for k, (lo, hi) in enumerate(domains)]
+        if any(lo is None for lo, _ in domains):
+            raise ValueError("pruning eliminated every path: a cut domain "
+                             "lies wholly before its length budget")
+    return dp.best_segmentation(actions, loglik, classes, hmm_params, domains)
 
 
 def write_acv_dump(path, anchor_set, seg):

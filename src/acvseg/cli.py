@@ -89,8 +89,9 @@ def _predict(args, task):
         if src_vocab != vocab:
             raise ValueError("training-set manifest vocabulary mismatch")
         training_sets = [rec.action_set(vocab) for rec in records]
-    os.makedirs(args.out, exist_ok=True)
 
+    # decode every video before writing any, so a failure leaves no partial output
+    segs = []
     for video in videos:
         seed = fork_rng(args.seed, task, video.video_id).integers(2 ** 31)
         if task == "segment":
@@ -99,6 +100,9 @@ def _predict(args, task):
         else:
             seg, _ = infer.align_video(video.features, video.action_set, mlp, hmm_params,
                                        k=args.k, seed=seed)
+        segs.append(seg)
+    os.makedirs(args.out, exist_ok=True)
+    for video, seg in zip(videos, segs):
         path = os.path.join(args.out, video.video_id + ".txt")
         data.write_labels(path, expand_segmentation(seg), vocab)
         print("wrote %s" % path)

@@ -9,7 +9,9 @@ free cuts, each restricted to an inclusive domain.  The search maximizes
 exactly.  Score ties are broken toward the lexicographically earliest cut
 vector.  `best_segmentation` adds the transition terms, constants for a
 fixed label sequence; training's anchor-constrained Viterbi and inference's
-alignment both score through it, with different cut domains.
+alignment both score through it, with different cut domains.  The search
+prunes nothing: any restriction on the cuts, such as acv's length budget,
+reaches it only as tighter domains.
 
 The backward pass is a max-plus product per stage pair over the (w1, w2)
 grid of their cut domains.  Below MONOTONE_MIN_CELLS cells it is taken
@@ -87,19 +89,16 @@ def _row_max_monotone(profile, q, w1):
     return out
 
 
-def best_cuts(stage_loglik, stage_lambdas, domains, prune_factor=None):
+def best_cuts(stage_loglik, stage_lambdas, domains):
     """Maximize the segmental objective over legal cut placements.
 
     stage_loglik: (N, T) per-stage frame log-likelihood rows.
     stage_lambdas: (N,) Poisson means per stage.
     domains: N-1 inclusive (lo, hi) ranges for the free cuts; must be
-        non-decreasing and lie inside [0, T-2].
-    prune_factor: if set (e.g. 1.5), drop any state where the accumulated
-        mean length through stage k exceeds prune_factor * frames-so-far,
-        and require the full sequence to satisfy sum(lambda) < factor * T.
+        non-decreasing and lie inside [0, T-2].  Every constraint on the
+        cuts, anchors and length budgets alike, is expressed here.
 
-    Returns (lengths, score).  Raises ValueError when no legal path exists
-    (including the case where pruning removed every path).
+    Returns (lengths, score).  Raises ValueError when no legal path exists.
     """
     loglik = np.asarray(stage_loglik, dtype=np.float64)
     lam = np.asarray(stage_lambdas, dtype=np.float64)
@@ -110,11 +109,6 @@ def best_cuts(stage_loglik, stage_lambdas, domains, prune_factor=None):
         raise ValueError("lambda must be positive")
     if len(domains) != n_seg - 1:
         raise ValueError("need exactly N-1 cut domains")
-
-    cumlam = np.cumsum(lam)
-    if prune_factor is not None and not (cumlam[-1] < prune_factor * t_total):
-        raise ValueError("pruning eliminated every path: sum(lambda) >= %.3g * T"
-                         % prune_factor)
 
     pois = poisson_table(lam, t_total)
     # cs[n, j+1] = sum of loglik[n, :j+1]
@@ -130,18 +124,11 @@ def best_cuts(stage_loglik, stage_lambdas, domains, prune_factor=None):
             raise ValueError("cut domain %d out of range" % k)
         doms.append(np.arange(lo, hi + 1))
 
-    def state_mask(k, cuts):
-        # keep a state only while accumulated mean length stays within budget
-        if prune_factor is None:
-            return np.ones(cuts.shape[0], dtype=bool)
-        return cumlam[k] <= prune_factor * (cuts + 1.0)
-
     # suffix[k][i]: best score of segments k+1..N-1 given segment k ends at doms[k][i]
     suffix = [None] * (n_seg - 1)
     js = doms[-1]
-    w = pois[n_seg - 1, t_total - 1 - js] + cs[n_seg - 1, t_total] - cs[n_seg - 1, js + 1]
-    w[~state_mask(n_seg - 2, js)] = NEG_INF
-    suffix[n_seg - 2] = w
+    suffix[n_seg - 2] = (pois[n_seg - 1, t_total - 1 - js] + cs[n_seg - 1, t_total]
+                         - cs[n_seg - 1, js + 1])
     for k in range(n_seg - 3, -1, -1):
         d0, d1 = doms[k], doms[k + 1]
         w1, w2 = d0.shape[0], d1.shape[0]
@@ -159,9 +146,7 @@ def best_cuts(stage_loglik, stage_lambdas, domains, prune_factor=None):
         # row i1 starts at offset (w1-1) - i1; the row-constant cs term is
         # pulled out of the max
         step = _row_max_monotone if w1 * w2 >= MONOTONE_MIN_CELLS else _row_max_dense
-        w = step(profile, q, w1) - cs[k + 1, d0 + 1]
-        w[~state_mask(k, d0)] = NEG_INF
-        suffix[k] = w
+        suffix[k] = step(profile, q, w1) - cs[k + 1, d0 + 1]
 
     first = pois[0, doms[0] + 1] + cs[0, doms[0] + 1] + suffix[0]
     total = first.max()
@@ -172,12 +157,8 @@ def best_cuts(stage_loglik, stage_lambdas, domains, prune_factor=None):
     for k in range(1, n_seg - 1):
         prev = cuts[-1]
         j2 = doms[k]
-        seg_len = j2 - prev
-        cand = np.where(
-            seg_len >= 1,
-            pois[k, np.clip(seg_len, 0, t_total)]
-            + cs[k, j2 + 1] - cs[k, prev + 1] + suffix[k],
-            NEG_INF)
+        seg_len = np.maximum(j2 - prev, 0)  # pois[k, 0] is -inf
+        cand = pois[k, seg_len] + cs[k, j2 + 1] - cs[k, prev + 1] + suffix[k]
         cuts.append(int(j2[int(np.argmax(cand))]))
 
     bounds = np.array([-1] + cuts + [t_total - 1])
@@ -185,19 +166,17 @@ def best_cuts(stage_loglik, stage_lambdas, domains, prune_factor=None):
     return lengths, float(total)
 
 
-def best_segmentation(actions, loglik, classes, hmm_params, domains, prune_factor=None):
+def best_segmentation(actions, loglik, classes, hmm_params, domains):
     """Best cut placement for the label sequence `actions` under the segment
     HMM: lengths, frame likelihoods and transitions.
 
     loglik rows follow the sorted `classes`, as in oracle.score_segmentation;
-    domains and prune_factor are those of best_cuts.  Returns
-    (Segmentation, log-score).
+    domains are those of best_cuts.  Returns (Segmentation, log-score).
     """
     actions = [int(c) for c in actions]
     row = {c: i for i, c in enumerate(classes)}
     stage_loglik = np.asarray(loglik)[[row[c] for c in actions]]
-    lengths, score = best_cuts(stage_loglik, hmm_params.lambdas[actions], domains,
-                               prune_factor=prune_factor)
+    lengths, score = best_cuts(stage_loglik, hmm_params.lambdas[actions], domains)
     with np.errstate(divide="ignore"):
         score += np.log(hmm_params.transitions[actions[:-1], actions[1:]]).sum()
     return Segmentation(actions, lengths), float(score)

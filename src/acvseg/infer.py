@@ -43,6 +43,8 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
     DRAW_BLOCK, so the candidates equal those of one scalar draw per pick,
     but `rng` may end the call advanced past the last pick it used.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if isinstance(rng, (int, np.integer)):
         rng = fork_rng(rng, "sample")
     labels = action_set.as_array()

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from acvseg import acv, dp, hmm, oracle
-from acvseg.core import ActionSet, validate_segmentation
+from acvseg.core import ActionSet, Segmentation, validate_segmentation
 from acvseg.rng import fork_rng
 
 
@@ -136,6 +138,25 @@ class TestSelectAnchors:
         spans = sorted((a.start, a.end) for a in anchors)
         assert spans[0][1] < spans[1][0]
 
+    def test_placement_equals_the_pair_scan_reference(self):
+        rng = np.random.default_rng(13)
+        placed = 0
+        for trial in range(2000):
+            m = int(rng.integers(1, 8))
+            t_total = int(rng.integers(1, 60))
+            if trial % 3 == 0:
+                s = rng.integers(0, 3, size=(m, t_total)).astype(np.float64)  # many ties
+            else:
+                s = rng.standard_normal((m, t_total))
+            if trial % 4 == 0 and m > 1:
+                s[1:] = s[0]  # every class shares the same peaks
+            radius = rng.integers(0, max(1, t_total // max(m, 2)) + 3, size=m)
+            order = [np.lexsort((np.arange(t_total), -s[i])) for i in range(m)]
+            got = acv._place(s, order, radius, t_total)
+            assert got == place_by_pair_scan(s, order, radius, t_total)
+            placed += got is not None
+        assert 200 <= placed <= 1800
+
     def test_impossible_placement_is_an_error(self):
         with pytest.raises(ValueError):
             acv.select_anchors(np.zeros((2, 1)), [0, 1], np.array([5.0, 5.0]), alpha=0.6)
@@ -145,6 +166,43 @@ class TestSelectAnchors:
         s[0, 0] = 1.0
         (a,) = acv.select_anchors(s, [0], np.array([30.0]), alpha=1.0)
         assert a.start == 0 and a.end <= 9
+
+
+def place_by_pair_scan(s, order, radius, t_total):
+    """Anchor placement as a bounded retry loop: rescan the anchors by
+    interval start for the first overlap, move its loser one candidate
+    centre at a time."""
+    m = len(order)
+    ptr = [0] * m
+    centers = [int(order[i][0]) for i in range(m)]
+
+    def interval(i, c):
+        return max(0, c - int(radius[i])), min(t_total - 1, c + int(radius[i]))
+
+    for _ in range(m * t_total + 1):
+        spans = [interval(i, centers[i]) for i in range(m)]
+        clash = None
+        for i in sorted(range(m), key=lambda i: (spans[i][0], i)):
+            for j in range(m):
+                if j != i and not (spans[j][1] < spans[i][0] or spans[j][0] > spans[i][1]):
+                    clash = (i, j) if (s[i, centers[i]], -i) < (s[j, centers[j]], -j) else (j, i)
+                    break
+            if clash:
+                break
+        if clash is None:
+            return centers
+        loser, _ = clash
+        others = [spans[j] for j in range(m) if j != loser]
+        while True:
+            ptr[loser] += 1
+            if ptr[loser] >= t_total:
+                return None
+            c = int(order[loser][ptr[loser]])
+            lo, hi = interval(loser, c)
+            if all(o_hi < lo or o_lo > hi for o_lo, o_hi in others):
+                centers[loser] = c
+                break
+    raise AssertionError("reference placement did not settle")
 
 
 class TestBuildGraph:
@@ -270,12 +328,56 @@ class TestConstrainedViterbi:
             assert pruned <= exact + 1e-9
         assert survivors > 0
 
+    def test_prune_matches_budgeted_brute_force(self):
+        outcomes = {"path": 0, "infeasible": 0}
+        for trial in range(400):
+            inst = oracle.random_instance(fork_rng(14, "prune-twin", trial))
+            want = budgeted_brute_force(inst["graph"], inst["loglik"], inst["hmm"], 1.5)
+            if want is None:
+                with pytest.raises(ValueError, match="pruning eliminated every path"):
+                    acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"],
+                                            prune=True)
+                outcomes["infeasible"] += 1
+                continue
+            seg, score = acv.constrained_viterbi(inst["graph"], inst["loglik"],
+                                                 inst["hmm"], prune=True)
+            assert seg == want[0]
+            assert abs(score - want[1]) <= 1e-9
+            outcomes["path"] += 1
+        assert outcomes["path"] >= 300 and outcomes["infeasible"] >= 5
+
     def test_non_finite_likelihood_rejected(self):
         inst = oracle.random_instance(fork_rng(12, "bad"))
         bad = inst["loglik"].copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             acv.constrained_viterbi(inst["graph"], bad, inst["hmm"])
+
+
+def budgeted_brute_force(graph, loglik, hmm_params, factor):
+    """Enumerate the anchor graph's cut vectors in lexicographic order, keep
+    those whose mean lengths through each cut fit `factor` times the frames
+    so far, and return the strictly best (Segmentation, score), or None
+    when the budget leaves no path."""
+    actions = [a.action for a in graph.anchors]
+    classes = sorted(actions)
+    t_total = graph.num_frames
+    # running sums, added left to right
+    mass = list(itertools.accumulate(float(hmm_params.lambdas[c]) for c in actions))
+    if not mass[-1] < factor * t_total:
+        return None
+    best = None
+    for cuts in itertools.product(*(range(lo, hi + 1) for lo, hi in graph.cut_domains)):
+        if any(mass[k] > factor * (cut + 1.0) for k, cut in enumerate(cuts)):
+            continue
+        bounds = (-1,) + cuts + (t_total - 1,)
+        lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+        if min(lengths) < 1:
+            continue
+        score = oracle.score_segmentation(actions, lengths, loglik, classes, hmm_params)
+        if best is None or score > best[1]:
+            best = (Segmentation(actions, lengths), score)
+    return best
 
 
 def test_dump_file_lists_anchors_and_cuts(tmp_path):

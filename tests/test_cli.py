@@ -209,6 +209,41 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_1_with_one_line(self, pipeline, tmp_path, capsys, k):
+        _, corpus, _, trained = pipeline
+        capsys.readouterr()
+        assert run_cli(["align", "--manifest", str(corpus / "manifest_eval.txt"),
+                        "--ckpt", str(trained), "--k", k,
+                        "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task", ["segment", "align"])
+    def test_uncoverable_last_video_leaves_no_label_file(self, pipeline, tmp_path,
+                                                          capsys, task):
+        # every set of the corpus has two or more actions, and with every
+        # lambda >= 10 none of them fits the 5 frames of the appended video
+        _, corpus, init, _ = pipeline
+        floored = tmp_path / "floored.ckpt"
+        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"),
+                        "--init", str(init), "--out", str(floored),
+                        "--iters", "0", "--lmin", "10"]) == 0
+        vocab, records = data.read_manifest(str(corpus / "manifest_eval.txt"))
+        short = tmp_path / "short.txt"
+        data.write_features(str(short), np.zeros((5, 8)))
+        records.append(data.VideoRecord("zshort", str(short), vocab.names[:2], None))
+        manifest = tmp_path / "manifest.txt"
+        data.write_manifest(str(manifest), vocab, records)
+        out = tmp_path / "pred"
+        capsys.readouterr()
+        assert run_cli([task, "--manifest", str(manifest), "--ckpt", str(floored),
+                        "--k", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no sequence can cover" in captured.err
+        assert not out.exists()
+
     def test_vocab_mismatch_exits_1(self, pipeline, tmp_path):
         root, corpus, init, _ = pipeline
         other = {"n_classes": 4, "n_videos": 2, "frames_range": [20, 30],

@@ -31,7 +31,7 @@ def test_monotone_row_max_equals_dense_bit_for_bit():
             q = np.cumsum(rng.standard_normal(w2))
         cut = int(rng.integers(0, w2 + 1))
         if trial % 4 == 1:
-            q[:cut] = dp.NEG_INF  # pruned early states
+            q[:cut] = dp.NEG_INF  # infeasible early states
         elif trial % 4 == 2:
             q[cut:] = dp.NEG_INF  # infeasible late states: all -inf suffix rows
         got = dp._row_max_monotone(profile, q, w1)
@@ -57,12 +57,11 @@ def test_best_cuts_takes_the_same_path_on_either_step(monkeypatch, seed):
                             for c in cuts)
         else:
             domains = tuple((k, t_total - 1 - (n_seg - 1 - k)) for k in range(n_seg - 1))
-        prune = None if rng.random() < 0.5 else float(rng.uniform(1.0, 2.0))
         results = []
         for min_cells in (10 ** 12, 0):  # dense only, then monotone only
             monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
             try:
-                lengths, score = dp.best_cuts(loglik, lam, domains, prune_factor=prune)
+                lengths, score = dp.best_cuts(loglik, lam, domains)
                 results.append((tuple(lengths), score))
             except ValueError as err:
                 results.append(str(err))

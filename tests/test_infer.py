@@ -258,6 +258,14 @@ class TestAlignVideo:
             align_mofs.append(metrics.mof(expand_segmentation(a), gt))
         assert np.mean(align_mofs) >= np.mean(seg_mofs)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_an_error(self, k):
+        params, x, mlp = two_class_setup()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            infer.align_video(x, ActionSet([0, 1]), mlp, params, k=k, seed=0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            infer.segment_video(x, [ActionSet([0, 1])], mlp, params, k=k, seed=0)
+
     def test_every_candidate_impossible_is_an_error(self):
         params, x, mlp = two_class_setup()
         params.transitions[:] = 0.0
