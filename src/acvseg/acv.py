@@ -14,9 +14,6 @@ import numpy as np
 
 from . import dp
 
-# constrained_viterbi(prune=True) caps mean lengths at this many times the frames
-PRUNE_FACTOR = 1.5
-
 
 @dataclass(frozen=True)
 class Anchor:
@@ -196,34 +193,19 @@ def build_graph(anchor_set, num_frames):
     return AnchorGraph(anchor_set, num_frames, domains)
 
 
-def constrained_viterbi(graph, loglik, hmm_params, prune=False):
+def constrained_viterbi(graph, loglik, hmm_params):
     """Best segmentation through the anchor graph under the HMM objective.
 
     loglik rows follow the sorted order of the graph's actions.  Returns
     (Segmentation, log-score); the score includes length, likelihood and
-    transition terms.  Ties go to the earliest cuts.  prune first tightens
-    each cut domain to a length budget: the mean lengths of segments 0..k
-    must fit in PRUNE_FACTOR times the frames through cut k.
+    transition terms.  Ties go to the earliest cuts.
     """
     loglik = np.asarray(loglik, dtype=np.float64)
     actions = [a.action for a in graph.anchors]
     classes = sorted(actions)
     if loglik.shape != (len(classes), graph.num_frames):
         raise ValueError("need a likelihood row per action of the set")
-    domains = graph.cut_domains
-    if prune:
-        cumlam = np.cumsum(hmm_params.lambdas[actions])
-        if not cumlam[-1] < PRUNE_FACTOR * graph.num_frames:
-            raise ValueError("pruning eliminated every path: sum(lambda) >= %.3g * T"
-                             % PRUNE_FACTOR)
-        # the budget keeps a suffix of each domain: raise its lo
-        domains = [(next((c for c in range(lo, hi + 1)
-                          if cumlam[k] <= PRUNE_FACTOR * (c + 1.0)), None), hi)
-                   for k, (lo, hi) in enumerate(domains)]
-        if any(lo is None for lo, _ in domains):
-            raise ValueError("pruning eliminated every path: a cut domain "
-                             "lies wholly before its length budget")
-    return dp.best_segmentation(actions, loglik, classes, hmm_params, domains)
+    return dp.best_segmentation(actions, loglik, classes, hmm_params, graph.cut_domains)
 
 
 def write_acv_dump(path, anchor_set, seg):

@@ -61,7 +61,7 @@ def cmd_train(args):
         np.maximum(hmm_params.lambdas, args.lmin, out=hmm_params.lambdas)
     cfg = training.TrainConfig(iters=args.iters, lr=args.lr, lr_drop_at=args.lr_drop_at,
                                lr_after=args.lr_after, alpha=args.alpha, beta=args.beta,
-                               tau=args.tau, prune=args.prune == "on", seed=args.seed)
+                               tau=args.tau, seed=args.seed)
     hmm_params, mlp, _ = training.train(videos, hmm_params, mlp, cfg,
                                         start_iter=start_iter, log=print)
     data.write_checkpoint(args.out, vocab, hmm_params, mlp,
@@ -213,7 +213,6 @@ def build_parser():
     p.add_argument("--lmin", type=float, default=None,
                    help="raise the expected-length floor of the loaded "
                    "checkpoint (default: keep checkpoint values)")
-    p.add_argument("--prune", choices=["on", "off"], default="off")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dump-dir", default=None,
                    help="write per-video anchor and cut dumps for the final model")

@@ -49,9 +49,6 @@ class Vocabulary:
             raise ValueError("label id %r out of range" % (label,))
         return self.names[label]
 
-    def full_set(self):
-        return ActionSet(range(len(self.names)))
-
 
 @dataclass(frozen=True)
 class ActionSet:
@@ -144,10 +141,6 @@ class Segmentation:
             raise ValueError("segment lengths must be >= 1 frame")
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "lengths", lengths)
-
-    @property
-    def num_segments(self):
-        return len(self.actions)
 
     @property
     def num_frames(self):

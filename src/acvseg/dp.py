@@ -10,8 +10,8 @@ exactly.  Score ties are broken toward the lexicographically earliest cut
 vector.  `best_segmentation` adds the transition terms, constants for a
 fixed label sequence; training's anchor-constrained Viterbi and inference's
 alignment both score through it, with different cut domains.  The search
-prunes nothing: any restriction on the cuts, such as acv's length budget,
-reaches it only as tighter domains.
+is exhaustive over those domains: any restriction on the cuts reaches it
+only as tighter domains.
 
 The backward pass is a max-plus product per stage pair over the (w1, w2)
 grid of their cut domains.  Below MONOTONE_MIN_CELLS cells it is taken
@@ -24,9 +24,9 @@ steps give bit-identical scores, and the traceback is shared.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import Segmentation
+from .hmm import log_poisson_length
 
 NEG_INF = -np.inf
 # Stage grids with at least this many cells take the monotone row-max step,
@@ -39,7 +39,7 @@ def poisson_table(lambdas, max_len):
     lam = np.asarray(lambdas, dtype=np.float64)
     lengths = np.arange(1, max_len + 1, dtype=np.float64)
     table = np.full((lam.shape[0], max_len + 1), NEG_INF)
-    table[:, 1:] = lengths * np.log(lam)[:, None] - lam[:, None] - gammaln(lengths + 1.0)
+    table[:, 1:] = log_poisson_length(lengths[None, :], lam[:, None])
     return table
 
 
@@ -96,7 +96,7 @@ def best_cuts(stage_loglik, stage_lambdas, domains):
     stage_lambdas: (N,) Poisson means per stage.
     domains: N-1 inclusive (lo, hi) ranges for the free cuts; must be
         non-decreasing and lie inside [0, T-2].  Every constraint on the
-        cuts, anchors and length budgets alike, is expressed here.
+        cuts is expressed here.
 
     Returns (lengths, score).  Raises ValueError when no legal path exists.
     """

@@ -32,7 +32,6 @@ class TrainConfig:
     alpha: float = 0.6
     beta: float = 0.4
     tau: int = 15
-    prune: bool = False
     seed: int = 0
     log_every: int = 1000
 
@@ -83,7 +82,7 @@ def pseudo_ground_truth(mlp_params, hmm_params, video, cfg, scores=None):
     graph = acv.build_graph(anchors, video.features.num_frames)
     loglik = hmm_mod.log_frame_likelihood(scores.log_softmax[classes],
                                           hmm_params.priors[classes])
-    seg, score = acv.constrained_viterbi(graph, loglik, hmm_params, prune=cfg.prune)
+    seg, score = acv.constrained_viterbi(graph, loglik, hmm_params)
     return seg, anchors, sal, scores, score
 
 

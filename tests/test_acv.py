@@ -1,10 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from acvseg import acv, dp, hmm, oracle
-from acvseg.core import ActionSet, Segmentation, validate_segmentation
+from acvseg.core import ActionSet, validate_segmentation
 from acvseg.rng import fork_rng
 
 
@@ -312,72 +310,12 @@ class TestConstrainedViterbi:
                                               classes, inst["hmm"])
             assert abs(score - again) <= 1e-9
 
-    def test_prune_never_beats_exact_search(self):
-        survivors = 0
-        for trial in range(30):
-            inst = oracle.random_instance(fork_rng(11, "prune", trial))
-            _, exact = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
-            try:
-                seg, pruned = acv.constrained_viterbi(inst["graph"], inst["loglik"],
-                                                      inst["hmm"], prune=True)
-            except ValueError:
-                continue  # the length budget can legitimately empty the graph
-            survivors += 1
-            members = ActionSet([a.action for a in inst["graph"].anchors])
-            assert validate_segmentation(seg, inst["graph"].num_frames, members)
-            assert pruned <= exact + 1e-9
-        assert survivors > 0
-
-    def test_prune_matches_budgeted_brute_force(self):
-        outcomes = {"path": 0, "infeasible": 0}
-        for trial in range(400):
-            inst = oracle.random_instance(fork_rng(14, "prune-twin", trial))
-            want = budgeted_brute_force(inst["graph"], inst["loglik"], inst["hmm"], 1.5)
-            if want is None:
-                with pytest.raises(ValueError, match="pruning eliminated every path"):
-                    acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"],
-                                            prune=True)
-                outcomes["infeasible"] += 1
-                continue
-            seg, score = acv.constrained_viterbi(inst["graph"], inst["loglik"],
-                                                 inst["hmm"], prune=True)
-            assert seg == want[0]
-            assert abs(score - want[1]) <= 1e-9
-            outcomes["path"] += 1
-        assert outcomes["path"] >= 300 and outcomes["infeasible"] >= 5
-
     def test_non_finite_likelihood_rejected(self):
         inst = oracle.random_instance(fork_rng(12, "bad"))
         bad = inst["loglik"].copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
             acv.constrained_viterbi(inst["graph"], bad, inst["hmm"])
-
-
-def budgeted_brute_force(graph, loglik, hmm_params, factor):
-    """Enumerate the anchor graph's cut vectors in lexicographic order, keep
-    those whose mean lengths through each cut fit `factor` times the frames
-    so far, and return the strictly best (Segmentation, score), or None
-    when the budget leaves no path."""
-    actions = [a.action for a in graph.anchors]
-    classes = sorted(actions)
-    t_total = graph.num_frames
-    # running sums, added left to right
-    mass = list(itertools.accumulate(float(hmm_params.lambdas[c]) for c in actions))
-    if not mass[-1] < factor * t_total:
-        return None
-    best = None
-    for cuts in itertools.product(*(range(lo, hi + 1) for lo, hi in graph.cut_domains)):
-        if any(mass[k] > factor * (cut + 1.0) for k, cut in enumerate(cuts)):
-            continue
-        bounds = (-1,) + cuts + (t_total - 1,)
-        lengths = [b - a for a, b in zip(bounds, bounds[1:])]
-        if min(lengths) < 1:
-            continue
-        score = oracle.score_segmentation(actions, lengths, loglik, classes, hmm_params)
-        if best is None or score > best[1]:
-            best = (Segmentation(actions, lengths), score)
-    return best
 
 
 def test_dump_file_lists_anchors_and_cuts(tmp_path):

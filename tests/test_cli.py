@@ -201,6 +201,15 @@ class TestErrorPaths:
                         "--init", str(init), "--out", str(root / "x.ckpt"),
                         "--iters", "many"]) == 2
 
+    @pytest.mark.parametrize("value", ["on", "off"])
+    def test_removed_prune_flag_is_a_usage_error(self, pipeline, capsys, value):
+        root, corpus, init, _ = pipeline
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"), "--init", str(init),
+                        "--out", str(root / "x.ckpt"), "--prune", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "unrecognized arguments: --prune" in err
+
     def test_runtime_error_exits_1(self, pipeline, capsys):
         # the training manifest has no label files, so eval cannot score it
         root, corpus, _, _ = pipeline
