@@ -19,8 +19,7 @@ from .data import (SynthSpec, VideoRecord, read_checkpoint, read_features, read_
                    write_labels, write_manifest)
 from .hmm import (HmmParams, init_lambdas, init_params, init_priors, init_transitions,
                   log_frame_likelihood, log_poisson_length, update_refined)
-from .infer import (CandidateSequence, align_sequence, align_video, sample_sequences,
-                    segment_video)
+from .infer import CandidateSequence, align_video, sample_sequences, segment_video
 from .metrics import anchor_iod, corpus_mof, iod, midpoint_hit, mof
 from .oracle import (brute_force_all_color, brute_force_anchor_best, random_instance,
                      score_segmentation)

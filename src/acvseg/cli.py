@@ -30,7 +30,6 @@ def cmd_synth(args):
     spec = data.read_synth_spec(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
-    os.makedirs(args.out, exist_ok=True)
     train_manifest, eval_manifest = data.synth_generate(spec, args.out)
     print("wrote %s" % train_manifest)
     print("wrote %s" % eval_manifest)
@@ -203,17 +202,18 @@ def build_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--init", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iters", type=int, default=100000)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--lr-drop-at", type=int, default=10000)
-    p.add_argument("--lr-after", type=float, default=0.001)
-    p.add_argument("--alpha", type=float, default=0.6)
-    p.add_argument("--beta", type=float, default=0.4)
-    p.add_argument("--tau", type=int, default=15)
+    cfg = training.TrainConfig()
+    p.add_argument("--iters", type=int, default=cfg.iters)
+    p.add_argument("--lr", type=float, default=cfg.lr)
+    p.add_argument("--lr-drop-at", type=int, default=cfg.lr_drop_at)
+    p.add_argument("--lr-after", type=float, default=cfg.lr_after)
+    p.add_argument("--alpha", type=float, default=cfg.alpha)
+    p.add_argument("--beta", type=float, default=cfg.beta)
+    p.add_argument("--tau", type=int, default=cfg.tau)
     p.add_argument("--lmin", type=float, default=None,
                    help="raise the expected-length floor of the loaded "
                    "checkpoint (default: keep checkpoint values)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--dump-dir", default=None,
                    help="write per-video anchor and cut dumps for the final model")
     p.set_defaults(func=cmd_train)

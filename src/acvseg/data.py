@@ -11,6 +11,7 @@ to a separate file that the training path never reads.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -202,13 +203,14 @@ def write_checkpoint(path, vocab, hmm_params, mlp_params, iteration=0):
 def read_checkpoint(path):
     """Returns (vocab, HmmParams, MlpParams, iteration)."""
     r = _Reader(path)
-    iteration = 0
-    if r.lines and r.lines[0] == "[META]":
-        r.expect("[META]")
-        fields = r.next().split()
-        if fields[0] != "iteration":
-            raise ValueError("%s: malformed META section" % path)
-        iteration = int(fields[1])
+    r.expect("[META]")
+    line = r.next()
+    fields = line.split()
+    if len(fields) != 2 or fields[0] != "iteration" \
+            or not fields[1].removeprefix("-").isdecimal():
+        raise ValueError("%s: META section must be one line 'iteration <int>', found %r"
+                         % (path, line))
+    iteration = int(fields[1])
     r.expect("[HMM]")
     head = r.next().split()
     if head[0] != "vocab":
@@ -233,13 +235,15 @@ class SynthSpec:
 
     Class means sit on scaled coordinate axes (pairwise distance
     separation * sqrt(2)); frames add isotropic Gaussian noise.  Each video
-    draws an action set, orders it uniformly, and draws near-Poisson
-    segment lengths rescaled to tile the video exactly.  full_set_fraction
-    pins that share of videos to the complete vocabulary, which keeps
-    set-conditioned inference meaningful on corpora with few classes.
-    always_present marks backbone classes (think background) that every
-    drawn set must contain; background_classes get a zero mean vector so
-    they are recognizable only by the absence of the other signatures.
+    draws a length from frames_range and an action set whose size is drawn
+    from set_size_range (capped at n_classes), orders the set uniformly, and
+    draws near-Poisson segment lengths rescaled to tile the video exactly;
+    every class shares one mean length, the mid video length over the
+    typical set size.  full_set_fraction pins that share of videos to the
+    complete vocabulary, which keeps set-conditioned inference meaningful
+    on corpora with few classes.  A spec file (read_synth_spec) is a JSON
+    object whose keys are these field names; n_classes and n_videos are
+    required.
     """
 
     n_classes: int
@@ -248,32 +252,27 @@ class SynthSpec:
     feature_dim: int = 64
     separation: float = 3.0
     noise: float = 1.0
-    length_means: object = None  # scalar, per-class sequence, or None
     set_size_range: tuple = (2, 5)
     full_set_fraction: float = 0.0
-    always_present: tuple = ()  # class ids every video must contain
-    background_classes: tuple = ()  # class ids with a zero mean vector
     seed: int = 0
-
-    def resolved_length_means(self):
-        if self.length_means is None:
-            typical = min(self.n_classes, max(self.set_size_range[0],
-                                              (self.set_size_range[0] + self.set_size_range[1]) / 2))
-            mid = (self.frames_range[0] + self.frames_range[1]) / 2
-            return np.full(self.n_classes, mid / typical)
-        means = np.asarray(self.length_means, dtype=np.float64)
-        if means.ndim == 0:
-            means = np.full(self.n_classes, float(means))
-        if means.shape != (self.n_classes,) or np.any(means <= 0):
-            raise ValueError("need a positive length mean per class")
-        return means
 
 
 def read_synth_spec(path):
+    """Read a SynthSpec from a JSON object keyed by its field names; other
+    keys and missing required keys are errors."""
     with open(path) as fh:
         raw = json.load(fh)
-    for key in ("frames_range", "set_size_range", "always_present",
-                "background_classes"):
+    if not isinstance(raw, dict):
+        raise ValueError("%s: spec must be a JSON object" % path)
+    fields = dataclasses.fields(SynthSpec)
+    unknown = sorted(set(raw) - {f.name for f in fields})
+    if unknown:
+        raise ValueError("%s: unknown spec keys: %s" % (path, ", ".join(unknown)))
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in raw]
+    if missing:
+        raise ValueError("%s: missing spec keys: %s" % (path, ", ".join(missing)))
+    for key in ("frames_range", "set_size_range"):
         if key in raw:
             raw[key] = tuple(raw[key])
     return SynthSpec(**raw)
@@ -302,45 +301,44 @@ def synth_generate(spec, out_dir):
 
     Emits features/, labels/, a training manifest without label paths, and
     an evaluation manifest that also points at the hidden frame labels.
-    Returns (train_manifest_path, eval_manifest_path).
+    Returns (train_manifest_path, eval_manifest_path).  An invalid spec is
+    a ValueError raised before anything is written.
     """
+    lo_f, hi_f = spec.frames_range
+    lo_s, hi_s = spec.set_size_range
+    if not lo_f <= hi_f:
+        raise ValueError("frames_range %s needs lo <= hi" % (spec.frames_range,))
+    if not 1 <= lo_s <= hi_s:
+        raise ValueError("set_size_range %s needs 1 <= lo <= hi" % (spec.set_size_range,))
+    if not 0.0 <= spec.full_set_fraction <= 1.0:
+        raise ValueError("full_set_fraction %r lies outside [0, 1]" % spec.full_set_fraction)
     if spec.n_classes > spec.feature_dim:
         raise ValueError("need n_classes <= feature_dim for axis-aligned class means")
-    if spec.frames_range[0] < spec.n_classes:
+    if lo_f < spec.n_classes:
         raise ValueError("shortest video cannot fit the largest action set")
     vocab = Vocabulary("act%02d" % c for c in range(spec.n_classes))
-    means = spec.resolved_length_means()
+    mean_length = (lo_f + hi_f) / 2 / min(spec.n_classes, (lo_s + hi_s) / 2)
     class_means = spec.separation * np.eye(spec.n_classes, spec.feature_dim)
-    for c in spec.background_classes:
-        class_means[int(c)] = 0.0
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
 
     n_full = int(round(spec.full_set_fraction * spec.n_videos))
     full_videos = set(fork_rng(spec.seed, "synth-full").permutation(spec.n_videos)[:n_full].tolist())
 
-    lo_s, hi_s = spec.set_size_range
     hi_s = min(hi_s, spec.n_classes)
     lo_s = min(lo_s, hi_s)
-    fixed = np.unique(np.asarray(spec.always_present, dtype=np.int64))
-    if fixed.size and (fixed[0] < 0 or fixed[-1] >= spec.n_classes):
-        raise ValueError("always_present ids outside the vocabulary")
-    if fixed.size > lo_s:
-        raise ValueError("always_present larger than the smallest set size")
-    free = np.setdiff1d(np.arange(spec.n_classes), fixed)
     train_records = []
     eval_records = []
     for v in range(spec.n_videos):
         rng = fork_rng(spec.seed, "synth", v)
-        t_total = int(rng.integers(spec.frames_range[0], spec.frames_range[1] + 1))
+        t_total = int(rng.integers(lo_f, hi_f + 1))
         if v in full_videos:
             chosen = np.arange(spec.n_classes)
         else:
             size = int(rng.integers(lo_s, hi_s + 1))
-            extra = rng.choice(free, size=size - fixed.size, replace=False)
-            chosen = np.sort(np.concatenate([fixed, extra]).astype(np.int64))
+            chosen = np.sort(rng.choice(spec.n_classes, size=size, replace=False))
         order = rng.permutation(chosen)
-        raw = np.maximum(1, rng.poisson(means[order]))
+        raw = np.maximum(1, rng.poisson(mean_length, size=order.size))
         lengths = _lengths_tiling(raw, t_total)
         frame_labels = np.repeat(order, lengths)
         x = class_means[frame_labels] \

@@ -93,27 +93,13 @@ def _alignment_domains(n_seg, num_frames):
     return tuple((k, num_frames - 1 - (n_seg - 1 - k)) for k in range(n_seg - 1))
 
 
-def _likelihood_rows(scores, classes, priors):
-    return hmm_mod.log_frame_likelihood(scores.log_softmax[classes], priors[classes])
-
-
-def align_sequence(candidate, x, mlp_params, hmm_params):
-    """Best cut placement for one fixed label sequence; returns
-    (Segmentation, log-score)."""
-    actions = candidate.actions if isinstance(candidate, CandidateSequence) else tuple(candidate)
-    scores = scorer.forward(mlp_params, x)
-    classes = sorted(set(actions))
-    rows = _likelihood_rows(scores, classes, hmm_params.priors)
-    return dp.best_segmentation(actions, rows, classes, hmm_params,
-                                _alignment_domains(len(actions), rows.shape[1]))
-
-
 def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
     scores = scorer.forward(mlp_params, x)
     num_frames = scores.logits.shape[1]
     seqs = sample_sequences(action_set, hmm_params.lambdas, num_frames, k, rng)
     classes = sorted(action_set)
-    rows = _likelihood_rows(scores, classes, hmm_params.priors)
+    rows = hmm_mod.log_frame_likelihood(scores.log_softmax[classes],
+                                        hmm_params.priors[classes])
     best = None
     cache = {}
     for cand in seqs:

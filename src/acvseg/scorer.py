@@ -183,7 +183,7 @@ def sgd_step(params, grads, lr):
                      params.W2 - lr * grads["W2"], params.b2 - lr * grads["b2"])
 
 
-def mil_loss_and_grads(params, x, action_set, want_grads=True):
+def mil_loss_and_grads(params, x, action_set):
     """Video-level multi-instance objective: per class, binary cross-entropy
     between the max-pooled sigmoid score and set membership, averaged over
     classes.  The gradient flows through the max-pooled frame only, so the
@@ -198,8 +198,6 @@ def mil_loss_and_grads(params, x, action_set, want_grads=True):
     y[list(action_set)] = 1.0
     pc = np.clip(pooled, EPS, 1.0 - EPS)
     loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
-    if not want_grads:
-        return loss, None
     frames, col = np.unique(best_t, return_inverse=True)
     d_logits = np.zeros((n_classes, frames.shape[0]))
     d_logits[np.arange(n_classes), col] = (pooled - y) / n_classes

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -8,6 +9,10 @@ import pytest
 from acvseg import cli, data, infer, training
 from acvseg.core import expand_segmentation
 from acvseg.rng import fork_rng
+
+
+# a valid spec for the bad-spec cases to spoil one field of
+SMALL_SPEC = {"n_classes": 4, "n_videos": 4, "frames_range": [30, 40], "feature_dim": 5}
 
 
 def run_cli(argv):
@@ -264,6 +269,60 @@ class TestErrorPaths:
         assert run_cli(["train", "--manifest", str(tmp_path / "c2" / "manifest.txt"),
                         "--init", str(init), "--out", str(tmp_path / "x.ckpt"),
                         "--iters", "1"]) == 1
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"bogus": 1}, "unknown spec keys: bogus"),
+        (dict(SMALL_SPEC, always_present=[0]), "unknown spec keys: always_present"),
+        ([1, 2], "spec must be a JSON object"),
+        ({"n_videos": 4}, "missing spec keys: n_classes"),
+        (dict(SMALL_SPEC, set_size_range=[0, 2]), "set_size_range (0, 2) needs 1 <= lo <= hi"),
+        (dict(SMALL_SPEC, set_size_range=[3, 2]), "set_size_range (3, 2) needs 1 <= lo <= hi"),
+        (dict(SMALL_SPEC, full_set_fraction=-0.5), "full_set_fraction -0.5 lies outside"),
+        (dict(SMALL_SPEC, frames_range=[50, 40]), "frames_range (50, 40) needs lo <= hi"),
+    ], ids=["unknown-key", "removed-field", "not-an-object", "missing-key", "set-size-zero",
+            "set-size-reversed", "fraction-negative", "frames-reversed"])
+    def test_bad_spec_exits_1_and_writes_nothing(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "corpus"
+        capsys.readouterr()
+        assert run_cli(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("meta", ["iteration", "iteration 7 9"], ids=["no-value", "two"])
+    @pytest.mark.parametrize("command", ["train", "segment", "align"])
+    def test_malformed_meta_exits_1_with_one_line(self, pipeline, tmp_path, capsys,
+                                                   command, meta):
+        _, corpus, _, trained = pipeline
+        lines = trained.read_text().splitlines()
+        assert lines[:2] == ["[META]", "iteration 40"]
+        lines[1] = meta
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        flag, extra = ("--init", "--iters") if command == "train" else ("--ckpt", "--k")
+        capsys.readouterr()
+        assert run_cli([command, "--manifest", str(corpus / "manifest.txt"), flag, str(ckpt),
+                        "--out", str(out), extra, "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: %s: META section must be one line 'iteration <int>', "
+                                "found %r\n" % (ckpt, meta))
+        assert not out.exists()
+
+
+class TestTrainDefaults:
+    def test_required_flags_alone_give_train_config_defaults(self):
+        args = cli.build_parser().parse_args(["train", "--manifest", "m.txt",
+                                              "--init", "i.ckpt", "--out", "o.ckpt"])
+        names = [f.name for f in dataclasses.fields(training.TrainConfig)
+                 if f.name != "log_every"]
+        assert training.TrainConfig(**{n: getattr(args, n) for n in names}) \
+            == training.TrainConfig()
 
 
 class TestModuleEntryPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -213,16 +214,21 @@ class TestCheckpoint:
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(mlp2, name), getattr(mlp, name))
 
-    def test_meta_section_optional(self, tmp_path):
+    @pytest.mark.parametrize("meta", [None, "iteration", "iteration 7 9", "iteration seven",
+                                      "iteration 7.0", "step 7"],
+                             ids=["absent", "no-value", "two-values", "word", "float",
+                                  "other-key"])
+    def test_malformed_meta_rejected(self, tmp_path, meta):
         vocab, hp, mlp = small_params()
         path = tmp_path / "ckpt.txt"
         data.write_checkpoint(path, vocab, hp, mlp, iteration=5)
         lines = path.read_text().splitlines()
-        assert lines[0] == "[META]"
-        (tmp_path / "old.txt").write_text("\n".join(lines[2:]) + "\n")
-        _, hp2, _, it = data.read_checkpoint(tmp_path / "old.txt")
-        assert it == 0
-        assert np.array_equal(hp2.lambdas, hp.lambdas)
+        assert lines[:2] == ["[META]", "iteration 5"]
+        lines[:2] = [] if meta is None else ["[META]", meta]
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="broken.txt"):
+            data.read_checkpoint(broken)
 
     def test_missing_section_rejected(self, tmp_path):
         vocab, hp, mlp = small_params()
@@ -347,42 +353,6 @@ class TestSynthGenerate:
             d = ((x[:, None, :] - means[None]) ** 2).sum(axis=2)
             assert np.array_equal(np.argmin(d, axis=1), gt.labels)
 
-    def test_always_present_classes_in_every_set(self, tmp_path):
-        spec = SynthSpec(n_classes=5, n_videos=12, frames_range=(30, 50),
-                         feature_dim=6, set_size_range=(2, 4),
-                         always_present=(0,), seed=4)
-        _, evalm = data.synth_generate(spec, tmp_path)
-        vocab, records = data.read_manifest(evalm)
-        for rec in records:
-            assert 0 in rec.action_set(vocab)
-
-    def test_always_present_validation(self, tmp_path):
-        bad = SynthSpec(n_classes=4, n_videos=2, frames_range=(20, 30),
-                        feature_dim=5, set_size_range=(2, 3),
-                        always_present=(0, 1, 2), seed=0)
-        with pytest.raises(ValueError):
-            data.synth_generate(bad, tmp_path / "x")
-        outside = SynthSpec(n_classes=4, n_videos=2, frames_range=(20, 30),
-                            feature_dim=5, always_present=(7,), seed=0)
-        with pytest.raises(ValueError):
-            data.synth_generate(outside, tmp_path / "y")
-
-    def test_background_class_has_zero_mean(self, tmp_path):
-        spec = SynthSpec(n_classes=3, n_videos=4, frames_range=(24, 30),
-                         feature_dim=4, noise=0.0, set_size_range=(3, 3),
-                         background_classes=(1,), seed=6)
-        _, evalm = data.synth_generate(spec, tmp_path)
-        vocab, records = data.read_manifest(evalm)
-        saw_background = False
-        for rec in records:
-            x = data.read_features(rec.features_path).values
-            gt = data.read_labels(rec.labels_path, vocab)
-            mask = gt.labels == 1
-            if mask.any():
-                saw_background = True
-                assert np.all(x[mask] == 0.0)
-        assert saw_background
-
     def test_impossible_specs_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             data.synth_generate(SynthSpec(n_classes=8, n_videos=1,
@@ -393,16 +363,59 @@ class TestSynthGenerate:
                                           frames_range=(30, 40), feature_dim=3),
                                 tmp_path / "b")
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(frames_range=(50, 40)), "frames_range"),
+        (dict(set_size_range=(0, 2)), "set_size_range"),
+        (dict(set_size_range=(3, 2)), "set_size_range"),
+        (dict(full_set_fraction=-0.5), "full_set_fraction"),
+        (dict(full_set_fraction=1.5), "full_set_fraction"),
+    ], ids=["frames-reversed", "set-size-zero", "set-size-reversed", "fraction-negative",
+            "fraction-above-one"])
+    def test_bad_ranges_rejected_before_writing(self, tmp_path, bad, message):
+        spec = dataclasses.replace(SynthSpec(n_classes=4, n_videos=4, frames_range=(30, 40),
+                                             feature_dim=5), **bad)
+        with pytest.raises(ValueError, match=message):
+            data.synth_generate(spec, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_set_size_above_vocabulary_is_capped(self, tmp_path):
+        spec = SynthSpec(n_classes=3, n_videos=4, frames_range=(30, 40), feature_dim=4,
+                         set_size_range=(4, 6), seed=2)
+        _, evalm = data.synth_generate(spec, tmp_path)
+        vocab, records = data.read_manifest(evalm)
+        assert all(len(rec.action_set(vocab)) == 3 for rec in records)
+
     def test_read_synth_spec(self, tmp_path):
         raw = {"n_classes": 3, "n_videos": 7, "frames_range": [20, 40],
                "feature_dim": 6, "separation": 2.5, "noise": 0.5,
-               "set_size_range": [2, 3], "full_set_fraction": 0.5,
-               "always_present": [0], "seed": 11}
+               "set_size_range": [2, 3], "full_set_fraction": 0.5, "seed": 11}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(raw))
         spec = data.read_synth_spec(path)
         assert spec.n_videos == 7
         assert spec.frames_range == (20, 40)
         assert spec.set_size_range == (2, 3)
-        assert spec.always_present == (0,)
         assert spec.separation == 2.5
+
+    def test_read_synth_spec_round_trips_every_field(self, tmp_path):
+        spec = SynthSpec(n_classes=5, n_videos=9, frames_range=(25, 45), feature_dim=7,
+                         separation=2.0, noise=0.25, set_size_range=(2, 4),
+                         full_set_fraction=0.75, seed=13)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(vars(spec)))
+        assert data.read_synth_spec(path) == spec
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n_classes": 3, "n_videos": 2, "bogus": 1}', "unknown spec keys: bogus"),
+        ('{"n_classes": 3, "n_videos": 2, "always_present": [0]}',
+         "unknown spec keys: always_present"),
+        ('{"bogus": 1}', "unknown spec keys: bogus"),
+        ("[1, 2]", "JSON object"),
+        ('{"n_videos": 2}', "missing spec keys: n_classes"),
+        ("{}", "missing spec keys: n_classes, n_videos"),
+    ], ids=["unknown", "removed-field", "only-unknown", "list", "missing-one", "empty"])
+    def test_read_synth_spec_rejects_bad_keys(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            data.read_synth_spec(path)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from acvseg import hmm, infer, metrics, scorer
+from acvseg import dp, hmm, infer, metrics, scorer
 from acvseg.core import ActionSet, FrameFeatures
 from acvseg.rng import fork_rng
 
@@ -137,10 +137,20 @@ def two_class_setup(t_total=12, strength=6.0):
     return params, FrameFeatures(x), mlp
 
 
+def align_sequence(actions, x, mlp, params):
+    """Best cut placement for one fixed label sequence, as decoding scores
+    each candidate; returns (Segmentation, log-score)."""
+    scores = scorer.forward(mlp, x)
+    classes = sorted(set(actions))
+    rows = hmm.log_frame_likelihood(scores.log_softmax[classes], params.priors[classes])
+    return dp.best_segmentation(actions, rows, classes, params,
+                                infer._alignment_domains(len(actions), rows.shape[1]))
+
+
 class TestAlignSequence:
     def test_single_stage_takes_everything(self):
         params, x, mlp = two_class_setup()
-        seg, score = infer.align_sequence([0], x, mlp, params)
+        seg, score = align_sequence([0], x, mlp, params)
         assert seg.actions == (0,) and seg.lengths == (12,)
 
     def test_matches_exhaustive_cut_enumeration(self):
@@ -160,7 +170,7 @@ class TestAlignSequence:
             x = FrameFeatures(rng.standard_normal((t_total, 3)))
             mlp = scorer.MlpParams.init(3, 3, n_hidden=4,
                                         seed=int(rng.integers(100)))
-            seg, score = infer.align_sequence(labels, x, mlp, params)
+            seg, score = align_sequence(labels, x, mlp, params)
 
             scores = scorer.forward(mlp, x)
             classes = sorted(set(labels))
@@ -185,7 +195,7 @@ class TestAlignSequence:
         params, x, mlp = two_class_setup()
         params.lambdas[:] = (3.0, 9.0)
         flat = FrameFeatures(np.zeros((12, 2)))
-        seg, _ = infer.align_sequence([0, 1], flat, mlp, params)
+        seg, _ = align_sequence([0, 1], flat, mlp, params)
 
         def grid():
             best = None
@@ -201,8 +211,7 @@ class TestAlignSequence:
     def test_more_stages_than_frames_rejected(self):
         params, x, mlp = two_class_setup()
         with pytest.raises(ValueError):
-            infer.align_sequence([0, 1, 0], FrameFeatures(np.zeros((2, 2))),
-                                 mlp, params)
+            align_sequence([0, 1, 0], FrameFeatures(np.zeros((2, 2))), mlp, params)
 
 
 class TestSegmentVideo:

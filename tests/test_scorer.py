@@ -228,7 +228,7 @@ class TestMilPretrain:
         p = scorer.MlpParams.init(4, 2, n_hidden=8, seed=1)
         losses = []
         for _ in range(10):
-            losses.append(scorer.mil_loss_and_grads(p, *corpus[0], want_grads=False)[0])
+            losses.append(scorer.mil_loss_and_grads(p, *corpus[0])[0])
             p = scorer.mil_pretrain(p, corpus, epochs=1, lr=0.01, seed=0)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
