@@ -8,7 +8,7 @@ echo "working under $WORK"
 
 # 1. Describe and generate a corpus.  The spec file is plain JSON mapping
 #    generator fields to values; anything omitted keeps its default, and a
-#    key that names no field is an error.
+#    key that names no field, or a value of the wrong type, is an error.
 cat > "$WORK/train_spec.json" <<EOF
 {"n_classes": 4, "n_videos": 16, "frames_range": [60, 120],
  "feature_dim": 32, "separation": 3.0, "noise": 1.0,

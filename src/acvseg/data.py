@@ -168,7 +168,6 @@ class _Reader:
         line = self.next()
         if line != token:
             raise ValueError("%s: expected %r, found %r" % (self.path, token, line))
-        return line
 
     def matrix(self, name):
         head = self.next().split()
@@ -206,9 +205,8 @@ def read_checkpoint(path):
     r.expect("[META]")
     line = r.next()
     fields = line.split()
-    if len(fields) != 2 or fields[0] != "iteration" \
-            or not fields[1].removeprefix("-").isdecimal():
-        raise ValueError("%s: META section must be one line 'iteration <int>', found %r"
+    if len(fields) != 2 or fields[0] != "iteration" or not fields[1].isdecimal():
+        raise ValueError("%s: META section must be one line 'iteration <count>', found %r"
                          % (path, line))
     iteration = int(fields[1])
     r.expect("[HMM]")
@@ -257,9 +255,19 @@ class SynthSpec:
     seed: int = 0
 
 
+# JSON values read_synth_spec accepts per SynthSpec field type; no bool is an int
+_SPEC_VALUES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) is int or (type(v) is float and np.isfinite(v)),
+              "a finite number"),
+    "tuple": (lambda v: type(v) is list and len(v) == 2 and all(type(x) is int for x in v),
+              "a list of two integers"),
+}
+
+
 def read_synth_spec(path):
     """Read a SynthSpec from a JSON object keyed by its field names; other
-    keys and missing required keys are errors."""
+    keys, missing required keys and values of the wrong type are errors."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -272,10 +280,12 @@ def read_synth_spec(path):
                if f.default is dataclasses.MISSING and f.name not in raw]
     if missing:
         raise ValueError("%s: missing spec keys: %s" % (path, ", ".join(missing)))
-    for key in ("frames_range", "set_size_range"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    return SynthSpec(**raw)
+    for f in fields:
+        accepts, kind = _SPEC_VALUES[f.type]
+        if f.name in raw and not accepts(raw[f.name]):
+            raise ValueError("%s: spec key %s must be %s, found %s"
+                             % (path, f.name, kind, json.dumps(raw[f.name])))
+    return SynthSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 
 def _lengths_tiling(raw, t_total):

@@ -1,8 +1,8 @@
 """Exact segmental Viterbi over cut placements for a fixed label sequence.
 
-A "cut" k is the last frame index of segment k (0-based, inclusive).  The
-final segment always ends at frame T-1, so a sequence of N segments has N-1
-free cuts, each restricted to an inclusive domain.  The search maximizes
+A "cut" k is the last frame index of segment k (0-based, inclusive).  A
+sequence of N segments has N-1 free cuts, each restricted to an inclusive
+domain, and a last cut pinned to frame T-1.  The search maximizes
 
     sum_n [ log p(l_n | lambda_n) + sum_{t in segment n} loglik[n, t] ]
 
@@ -13,12 +13,15 @@ alignment both score through it, with different cut domains.  The search
 is exhaustive over those domains: any restriction on the cuts reaches it
 only as tighter domains.
 
-The backward pass is a max-plus product per stage pair over the (w1, w2)
-grid of their cut domains.  Below MONOTONE_MIN_CELLS cells it is taken
-densely, in O(w1 * w2).  At or above it, the concavity of the Poisson
-log-length kernel makes each row's leftmost argmax monotone, and a monotone
-divide and conquer finds the same row maxima in O((w1 + w2) log w1).  Both
-steps give bit-identical scores, and the traceback is shared.
+Every stage k runs from the cut before it (frame -1 for k = 0) to a cut in
+its domain.  The backward pass is a max-plus product per stage pair over
+the (w1, w2) grid of their contiguous cut domains, which reads the Poisson
+log-length kernel as a zero-copy slice of the padded poisson_table.  Below
+MONOTONE_MIN_CELLS cells it is taken densely, in O(w1 * w2).  At or above
+it, the concavity of the kernel makes each row's leftmost argmax monotone,
+and a monotone divide and conquer finds the same row maxima in
+O((w1 + w2) log w1).  Both steps give bit-identical scores, and the
+traceback from frame -1 is shared.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Segmentation
-from .hmm import log_poisson_length
+from .hmm import _log_poisson
 
 NEG_INF = -np.inf
 # Stage grids with at least this many cells take the monotone row-max step,
@@ -35,11 +38,12 @@ MONOTONE_MIN_CELLS = 500 * 500
 
 
 def poisson_table(lambdas, max_len):
-    """pois[n, l] = log Poisson(l | lambdas[n]) for l = 0..max_len; l=0 is -inf."""
+    """pois[n, max_len + l] = log Poisson(l | lambdas[n]) for l = -max_len..max_len,
+    -inf for l <= 0, so no reader clips a cut difference; lambdas must be > 0."""
     lam = np.asarray(lambdas, dtype=np.float64)
     lengths = np.arange(1, max_len + 1, dtype=np.float64)
-    table = np.full((lam.shape[0], max_len + 1), NEG_INF)
-    table[:, 1:] = log_poisson_length(lengths[None, :], lam[:, None])
+    table = np.full((lam.shape[0], 2 * max_len + 1), NEG_INF)
+    table[:, max_len + 1:] = _log_poisson(lengths[None, :], lam[:, None])
     return table
 
 
@@ -96,7 +100,10 @@ def best_cuts(stage_loglik, stage_lambdas, domains):
     stage_lambdas: (N,) Poisson means per stage.
     domains: N-1 inclusive (lo, hi) ranges for the free cuts; must be
         non-decreasing and lie inside [0, T-2].  Every constraint on the
-        cuts is expressed here.
+        cuts is expressed here; the last cut is pinned to [T-1].
+
+    A backward pass over stages N-1..1, then a traceback over stages 0..N-1
+    from frame -1; the best stage-0 candidate is the score.
 
     Returns (lengths, score).  Raises ValueError when no legal path exists.
     """
@@ -109,61 +116,39 @@ def best_cuts(stage_loglik, stage_lambdas, domains):
         raise ValueError("lambda must be positive")
     if len(domains) != n_seg - 1:
         raise ValueError("need exactly N-1 cut domains")
+    for k, (lo, hi) in enumerate(domains):
+        if not (0 <= lo <= hi <= t_total - 2):
+            raise ValueError("cut domain %d out of range" % k)
+    doms = [np.arange(lo, hi + 1) for lo, hi in domains] + [np.array([t_total - 1])]
 
     pois = poisson_table(lam, t_total)
     # cs[n, j+1] = sum of loglik[n, :j+1]
     cs = np.concatenate([np.zeros((n_seg, 1)), np.cumsum(loglik, axis=1)], axis=1)
 
-    if n_seg == 1:
-        score = pois[0, t_total] + cs[0, t_total]
-        return np.array([t_total]), float(score)
-
-    doms = []
-    for k, (lo, hi) in enumerate(domains):
-        if not (0 <= lo <= hi <= t_total - 2):
-            raise ValueError("cut domain %d out of range" % k)
-        doms.append(np.arange(lo, hi + 1))
-
-    # suffix[k][i]: best score of segments k+1..N-1 given segment k ends at doms[k][i]
-    suffix = [None] * (n_seg - 1)
-    js = doms[-1]
-    suffix[n_seg - 2] = (pois[n_seg - 1, t_total - 1 - js] + cs[n_seg - 1, t_total]
-                         - cs[n_seg - 1, js + 1])
-    for k in range(n_seg - 3, -1, -1):
-        d0, d1 = doms[k], doms[k + 1]
+    # suffix[k][i]: best score of stages k+1..N-1 given cut k at doms[k][i]
+    suffix = [None] * (n_seg - 1) + [np.zeros(1)]
+    for k in range(n_seg - 1, 0, -1):
+        d0, d1 = doms[k - 1], doms[k]
         w1, w2 = d0.shape[0], d1.shape[0]
-        # the domains are contiguous ranges, so pois[k+1, d1[i2] - d0[i1]]
-        # is Toeplitz: both row-max steps read it from one padded
-        # length-profile vector
-        off = int(d1[0]) - int(d0[0])
-        base = off - (w1 - 1)
-        profile = np.full(w1 - 1 + w2, NEG_INF)
-        lo_d = max(base, 1)
-        hi_d = off + w2 - 1
-        if hi_d >= lo_d:
-            profile[lo_d - base: hi_d - base + 1] = pois[k + 1, lo_d: hi_d + 1]
-        q = cs[k + 1, d1 + 1] + suffix[k + 1]
-        # row i1 starts at offset (w1-1) - i1; the row-constant cs term is
-        # pulled out of the max
+        # pois[k, T + d1[i2] - d0[i1]] is Toeplitz: row i1 reads the profile
+        # from offset (w1-1) - i1.  Free cuts are <= T-2, so base >= 2.
+        base = t_total + int(d1[0]) - int(d0[-1])
+        profile = pois[k, base: base + w1 - 1 + w2]
+        q = cs[k, d1 + 1] + suffix[k]
+        # the row-constant cs term is pulled out of the max
         step = _row_max_monotone if w1 * w2 >= MONOTONE_MIN_CELLS else _row_max_dense
-        suffix[k] = step(profile, q, w1) - cs[k + 1, d0 + 1]
+        suffix[k - 1] = step(profile, q, w1) - cs[k, d0 + 1]
 
-    first = pois[0, doms[0] + 1] + cs[0, doms[0] + 1] + suffix[0]
-    total = first.max()
-    if not np.isfinite(total):
-        raise ValueError("no legal path through the cut domains")
-
-    cuts = [int(doms[0][int(np.argmax(first))])]
-    for k in range(1, n_seg - 1):
-        prev = cuts[-1]
-        j2 = doms[k]
-        seg_len = np.maximum(j2 - prev, 0)  # pois[k, 0] is -inf
-        cand = pois[k, seg_len] + cs[k, j2 + 1] - cs[k, prev + 1] + suffix[k]
+    cuts = [-1]
+    for k in range(n_seg):
+        prev, j2 = cuts[-1], doms[k]
+        cand = pois[k, t_total + j2 - prev] + cs[k, j2 + 1] - cs[k, prev + 1] + suffix[k]
+        if k == 0:
+            score = cand.max()
+            if not np.isfinite(score):
+                raise ValueError("no legal path through the cut domains")
         cuts.append(int(j2[int(np.argmax(cand))]))
-
-    bounds = np.array([-1] + cuts + [t_total - 1])
-    lengths = np.diff(bounds)
-    return lengths, float(total)
+    return np.diff(cuts), float(score)
 
 
 def best_segmentation(actions, loglik, classes, hmm_params, domains):

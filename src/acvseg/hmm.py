@@ -147,15 +147,20 @@ def init_params(video_lengths, sets, n_classes, l_min=50.0):
                      init_priors(video_lengths, sets, n_classes))
 
 
+def _log_poisson(length, lam):
+    """log p(l | lambda) = l ln(lambda) - lambda - ln(l!), unchecked."""
+    return length * np.log(lam) - lam - gammaln(length + 1.0)
+
+
 def log_poisson_length(length, lam):
-    """log p(l | lambda) = l ln(lambda) - lambda - ln(l!), via log-gamma."""
+    """_log_poisson with its inputs checked; a float for scalar inputs."""
     length = np.asarray(length, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     if np.any(length < 1) or np.any(length != np.floor(length)):
         raise ValueError("lengths must be integers >= 1")
     if np.any(lam <= 0):
         raise ValueError("lambda must be positive")
-    out = length * np.log(lam) - lam - gammaln(length + 1.0)
+    out = _log_poisson(length, lam)
     return float(out) if out.ndim == 0 else out
 
 

@@ -84,14 +84,9 @@ class ForwardCache:
     h: np.ndarray  # (n_hidden, T) post-ReLU; h > 0 exactly where the pre-activation is
 
 
-def _features(x):
-    values = getattr(x, "values", x)
-    return np.asarray(values, dtype=np.float64)
-
-
 def _hidden_and_logits(params, x):
     """(x as a (T, dim) array, post-ReLU hidden layer, logits)."""
-    x = _features(x)
+    x = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError("features must be (T, %d)" % params.dim)
     # build the hidden layer in place: one (n_hidden, T) allocation per call

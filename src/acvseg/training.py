@@ -120,6 +120,8 @@ class TrainStats:
 def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
     """Run cfg.iters iterations starting at start_iter; returns the updated
     (hmm_params, mlp_params, stats).  Videos must carry in-memory features."""
+    if cfg.iters < 0:
+        raise ValueError("iters must be >= 0, got %d" % cfg.iters)
     if not videos:
         raise ValueError("empty corpus")
     hmm_params = hmm_params.copy()

@@ -279,8 +279,13 @@ class TestErrorPaths:
         (dict(SMALL_SPEC, set_size_range=[3, 2]), "set_size_range (3, 2) needs 1 <= lo <= hi"),
         (dict(SMALL_SPEC, full_set_fraction=-0.5), "full_set_fraction -0.5 lies outside"),
         (dict(SMALL_SPEC, frames_range=[50, 40]), "frames_range (50, 40) needs lo <= hi"),
+        (dict(SMALL_SPEC, n_classes="4"), 'n_classes must be an integer, found "4"'),
+        (dict(SMALL_SPEC, frames_range=5), "frames_range must be a list of two integers"),
+        (dict(SMALL_SPEC, n_videos=2.5), "n_videos must be an integer, found 2.5"),
+        (dict(SMALL_SPEC, noise="x"), 'noise must be a finite number, found "x"'),
     ], ids=["unknown-key", "removed-field", "not-an-object", "missing-key", "set-size-zero",
-            "set-size-reversed", "fraction-negative", "frames-reversed"])
+            "set-size-reversed", "fraction-negative", "frames-reversed", "string-count",
+            "scalar-range", "float-count", "string-noise"])
     def test_bad_spec_exits_1_and_writes_nothing(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -291,6 +296,17 @@ class TestErrorPaths:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert not out.exists()
+
+    def test_negative_iters_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys):
+        _, corpus, init, _ = pipeline
+        out = tmp_path / "neg.ckpt"
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"),
+                        "--init", str(init), "--out", str(out), "--iters", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: iters must be >= 0, got -5\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("meta", ["iteration", "iteration 7 9"], ids=["no-value", "two"])
@@ -310,7 +326,7 @@ class TestErrorPaths:
                         "--out", str(out), extra, "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: %s: META section must be one line 'iteration <int>', "
+        assert captured.err == ("error: %s: META section must be one line 'iteration <count>', "
                                 "found %r\n" % (ckpt, meta))
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -215,9 +216,9 @@ class TestCheckpoint:
             assert np.array_equal(getattr(mlp2, name), getattr(mlp, name))
 
     @pytest.mark.parametrize("meta", [None, "iteration", "iteration 7 9", "iteration seven",
-                                      "iteration 7.0", "step 7"],
+                                      "iteration 7.0", "step 7", "iteration -5"],
                              ids=["absent", "no-value", "two-values", "word", "float",
-                                  "other-key"])
+                                  "other-key", "negative"])
     def test_malformed_meta_rejected(self, tmp_path, meta):
         vocab, hp, mlp = small_params()
         path = tmp_path / "ckpt.txt"
@@ -413,9 +414,23 @@ class TestSynthGenerate:
         ("[1, 2]", "JSON object"),
         ('{"n_videos": 2}', "missing spec keys: n_classes"),
         ("{}", "missing spec keys: n_classes, n_videos"),
-    ], ids=["unknown", "removed-field", "only-unknown", "list", "missing-one", "empty"])
+        ('{"n_classes": "4", "n_videos": 2}', 'n_classes must be an integer, found "4"'),
+        ('{"n_classes": 3, "n_videos": 2.5}', "n_videos must be an integer, found 2.5"),
+        ('{"n_classes": 3, "n_videos": 2, "seed": true}', "seed must be an integer"),
+        ('{"n_classes": 3, "n_videos": 2, "noise": "x"}', "noise must be a finite number"),
+        ('{"n_classes": 3, "n_videos": 2, "noise": NaN}', "noise must be a finite number"),
+        ('{"n_classes": 3, "n_videos": 2, "frames_range": 5}',
+         "frames_range must be a list of two integers, found 5"),
+        ('{"n_classes": 3, "n_videos": 2, "set_size_range": [1, 2, 3]}',
+         "set_size_range must be a list of two integers"),
+        ('{"n_classes": 3, "n_videos": 2, "frames_range": [20.5, 40]}',
+         "frames_range must be a list of two integers"),
+    ], ids=["unknown", "removed-field", "only-unknown", "list", "missing-one", "empty",
+            "string-count", "float-count", "bool-seed", "string-noise", "nan-noise",
+            "scalar-range", "three-item-range", "float-in-range"])
     def test_read_synth_spec_rejects_bad_keys(self, tmp_path, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
             data.read_synth_spec(path)
+        assert str(err.value).startswith(str(path))

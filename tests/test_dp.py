@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,29 @@ from acvseg import dp, hmm, oracle
 
 
 def stage_grid(w1, w2, offset, lam):
-    """The padded length profile best_cuts builds for two cut domains whose
-    first cuts lie `offset` frames apart; lengths <= 0 are -inf."""
-    pois = dp.poisson_table([lam], w1 + w2 + abs(offset))[0]
-    base = offset - (w1 - 1)
-    profile = np.full(w1 - 1 + w2, dp.NEG_INF)
-    lo, hi = max(base, 1), offset + w2 - 1
-    if hi >= lo:
-        profile[lo - base: hi - base + 1] = pois[lo: hi + 1]
-    return profile
+    """The length profile best_cuts slices from its padded Poisson table for
+    two cut domains whose first cuts lie `offset` frames apart; lengths
+    <= 0 are -inf."""
+    max_len = w1 + w2 + abs(offset)
+    base = max_len + offset - (w1 - 1)
+    return dp.poisson_table([lam], max_len)[0, base: base + w1 - 1 + w2]
+
+
+def brute_force_cuts(loglik, lam, domains):
+    """Every cut vector inside the domains, scored term by term; the
+    lexicographically earliest best wins.  None when no vector is legal."""
+    n_seg, t_total = loglik.shape
+    best = None
+    for cuts in itertools.product(*(range(lo, hi + 1) for lo, hi in domains)):
+        lengths = np.diff((-1,) + cuts + (t_total - 1,))
+        if np.any(lengths < 1):
+            continue
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        score = sum(hmm.log_poisson_length(int(l), lam[k]) + loglik[k, s: s + l].sum()
+                    for k, (s, l) in enumerate(zip(starts, lengths)))
+        if best is None or score > best[1]:
+            best = (lengths, score)
+    return best
 
 
 def test_monotone_row_max_equals_dense_bit_for_bit():
@@ -66,6 +82,33 @@ def test_best_cuts_takes_the_same_path_on_either_step(monkeypatch, seed):
             except ValueError as err:
                 results.append(str(err))
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("min_cells", [10 ** 12, 0], ids=["dense", "monotone"])
+def test_best_cuts_matches_exhaustive_search(monkeypatch, min_cells):
+    monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
+    rng = np.random.default_rng(5)
+    n_infeasible = 0
+    for _ in range(300):
+        n_seg = int(rng.integers(1, 5))
+        t_total = int(rng.integers(1 if n_seg == 1 else 2, 11))
+        lam = rng.uniform(0.5, 8.0, size=n_seg)
+        loglik = rng.standard_normal((n_seg, t_total))
+        # non-decreasing ranges inside [0, T-2]; they may overlap or leave
+        # no legal cut vector
+        los = np.sort(rng.integers(0, t_total - 1, size=n_seg - 1))
+        his = np.maximum(np.sort(rng.integers(0, t_total - 1, size=n_seg - 1)), los)
+        domains = tuple((int(lo), int(hi)) for lo, hi in zip(los, his))
+        expect = brute_force_cuts(loglik, lam, domains)
+        if expect is None:
+            n_infeasible += 1
+            with pytest.raises(ValueError, match="no legal path"):
+                dp.best_cuts(loglik, lam, domains)
+            continue
+        lengths, score = dp.best_cuts(loglik, lam, domains)
+        np.testing.assert_array_equal(lengths, expect[0])
+        assert score == pytest.approx(expect[1], abs=1e-9)
+    assert n_infeasible > 10
 
 
 def test_best_segmentation_scores_like_the_oracle():

@@ -216,6 +216,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             training.train([], hp, mlp, small_cfg())
 
+    def test_negative_iters_rejected_before_any_work(self, corpus, monkeypatch):
+        _, videos = corpus
+        hp, mlp = fresh_params(videos)
+        monkeypatch.setattr(scorer, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        with pytest.raises(ValueError, match="iters must be >= 0, got -5"):
+            training.train(videos, hp, mlp, small_cfg(iters=-5))
+
     def test_logging_hook(self, corpus):
         _, videos = corpus
         hp, mlp = fresh_params(videos)
