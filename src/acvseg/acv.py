@@ -205,7 +205,7 @@ def constrained_viterbi(graph, loglik, hmm_params):
     classes = sorted(actions)
     if loglik.shape != (len(classes), graph.num_frames):
         raise ValueError("need a likelihood row per action of the set")
-    return dp.best_segmentation(actions, loglik, classes, hmm_params, graph.cut_domains)
+    return dp.best_segmentation([actions], loglik, classes, hmm_params, graph.cut_domains)[0]
 
 
 def write_acv_dump(path, anchor_set, seg):

@@ -1,4 +1,4 @@
-"""Exact segmental Viterbi over cut placements for a fixed label sequence.
+"""Exact segmental Viterbi over cut placements for fixed label sequences.
 
 A "cut" k is the last frame index of segment k (0-based, inclusive).  A
 sequence of N segments has N-1 free cuts, each restricted to an inclusive
@@ -13,27 +13,36 @@ alignment both score through it, with different cut domains.  The search
 is exhaustive over those domains: any restriction on the cuts reaches it
 only as tighter domains.
 
+The DP runs on a leading batch axis: B problems of equal N and T that
+share their domains go through one backward pass and one traceback, and
+each gets the lengths and score bits it would get alone.  Training's
+anchor-constrained Viterbi is a batch of one; inference batches a video's
+distinct candidates of one length.
+
 Every stage k runs from the cut before it (frame -1 for k = 0) to a cut in
 its domain.  The backward pass is a max-plus product per stage pair over
 the (w1, w2) grid of their contiguous cut domains, which reads the Poisson
-log-length kernel as a zero-copy slice of the padded poisson_table.  Below
-MONOTONE_MIN_CELLS cells it is taken densely, in O(w1 * w2).  At or above
-it, the concavity of the kernel makes each row's leftmost argmax monotone,
-and a monotone divide and conquer finds the same row maxima in
-O((w1 + w2) log w1).  Both steps give bit-identical scores, and the
-traceback from frame -1 is shared.
+log-length kernel as a slice of a padded poisson_table row, one row per
+stage of each problem.  When the batch's grids hold fewer than
+MONOTONE_MIN_CELLS cells in total, it is taken densely, in
+O(B * w1 * w2).  Otherwise the concavity of the kernel makes each row's
+leftmost argmax monotone, and a monotone divide and conquer finds the same
+row maxima in O(B * (w1 + w2) log w1).  Both steps give bit-identical
+scores, and the traceback from frame -1 is shared.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import Segmentation
 from .hmm import _log_poisson
 
 NEG_INF = -np.inf
-# Stage grids with at least this many cells take the monotone row-max step,
-# smaller ones the dense one: the two cost about the same at 500 x 500.
+# Stage grids with at least this many cells over the whole batch take the
+# monotone row-max step, smaller ones the dense one: the two cost about the
+# same at 500 x 500, and the cap bounds the dense step's temporaries.
 MONOTONE_MIN_CELLS = 500 * 500
 
 
@@ -48,41 +57,55 @@ def poisson_table(lambdas, max_len):
 
 
 def _row_max_dense(profile, q, w1):
-    """Row maxima of the stage grid M[i1, i2] = profile[w1-1-i1+i2] + q[i2],
-    read through a zero-copy sliding window over the profile."""
-    windows = np.lib.stride_tricks.sliding_window_view(profile, q.shape[0])
-    return (windows[::-1] + q[None, :]).max(axis=1)
+    """Row maxima of each problem's stage grid
+    M[b, i1, i2] = profile[b, w1-1-i1+i2] + q[b, i2], read through a
+    zero-copy strided view of the profiles; (B, w1)."""
+    step_b, step_l = profile.strides
+    grid = as_strided(profile[:, w1 - 1:], shape=(profile.shape[0], w1, q.shape[1]),
+                      strides=(step_b, -step_l, step_l), writeable=False)
+    return (grid + q[:, None, :]).max(axis=2)
 
 
 def _row_max_monotone(profile, q, w1):
     """The row maxima of _row_max_dense, found without visiting every cell.
 
-    The Poisson log-length profile is concave, so M is inverse-Monge and the
-    leftmost argmax of row i1 never lies left of that of row i1-1 among rows
-    with a finite maximum.  Rows with no finite entry form a suffix; they
-    take the right-most column as their bound.  Monotone divide and conquer
-    then searches each row only between the argmaxes of its two bracketing
-    rows, one level of the recursion at a time over all open row blocks.
-    Every maximum is taken over a column subset that holds the row's argmax,
-    so it equals the dense maximum bit for bit.
+    The Poisson log-length profile is concave, so each M[b] is inverse-Monge
+    and the leftmost argmax of row i1 never lies left of that of row i1-1
+    among rows with a finite maximum.  Rows with no finite entry form a
+    suffix; they take the right-most column as their bound.  Monotone divide
+    and conquer then searches each row only between the argmaxes of its two
+    bracketing rows, one level of the recursion at a time over all open row
+    blocks of the whole batch.  Rows are numbered b*w1 + i1 and columns
+    b*w2 + i2, so a block never mixes problems.  Every maximum is taken over
+    a column subset that holds the row's argmax, so it equals the dense
+    maximum bit for bit.
     """
-    w2 = q.shape[0]
-    out = np.empty(w1)
+    n_batch, w2 = q.shape
+    flat_p, flat_q = profile.ravel(), q.ravel()
+    stride = profile.shape[1] - w2 + w1
+    out = np.empty(n_batch * w1)
     # open blocks: rows lo..hi, to be searched over columns clo..chi
-    lo, hi = np.array([0]), np.array([w1 - 1])
-    clo, chi = np.array([0]), np.array([w2 - 1])
+    lo = np.arange(0, n_batch * w1, w1)
+    hi = lo + (w1 - 1)
+    clo = np.arange(0, n_batch * w2, w2)
+    chi = clo + (w2 - 1)
     while lo.size:
         mid = (lo + hi) // 2
         width = chi - clo + 1
         starts = width.cumsum() - width
         n_cells = int(starts[-1] + width[-1])
-        pos = np.arange(n_cells)
-        cols = pos + (clo - starts).repeat(width)
-        vals = profile[cols + ((w1 - 1) - mid).repeat(width)] + q[cols]
+        cols = (clo - starts).repeat(width)
+        cols += np.arange(n_cells)
+        # profile[b, i2 + (w1-1) - i1] for row mid = b*w1 + i1, column b*w2 + i2
+        at = ((mid // w1) * stride + ((w1 - 1) - mid)).repeat(width)
+        at += cols
+        vals = flat_p.take(at)
+        vals += flat_q.take(cols)
         best = np.maximum.reduceat(vals, starts)
         out[mid] = best
-        first = np.where(vals == best.repeat(width), pos, n_cells)
-        arg = np.minimum.reduceat(first, starts) - starts + clo
+        # no cell is nan, so every block holds its maximum; take the first
+        hits = np.flatnonzero(vals == best.repeat(width))
+        arg = hits[hits.searchsorted(starts)] - starts + clo
         empty = best == NEG_INF
         arg[empty] = chi[empty]
         left, right = mid > lo, mid < hi
@@ -90,29 +113,43 @@ def _row_max_monotone(profile, q, w1):
         hi = np.concatenate([mid[left] - 1, hi[right]])
         clo, chi = (np.concatenate([clo[left], arg[right]]),
                     np.concatenate([arg[left], chi[right]]))
-    return out
+    return out.reshape(n_batch, w1)
 
 
 def best_cuts(stage_loglik, stage_lambdas, domains):
     """Maximize the segmental objective over legal cut placements.
 
-    stage_loglik: (N, T) per-stage frame log-likelihood rows.
-    stage_lambdas: (N,) Poisson means per stage.
+    stage_loglik: (N, T) per-stage frame log-likelihood rows, or (B, N, T)
+        for a batch of B problems that share the domains.
+    stage_lambdas: (N,) Poisson means per stage, or (B, N).
     domains: N-1 inclusive (lo, hi) ranges for the free cuts; must be
         non-decreasing and lie inside [0, T-2].  Every constraint on the
         cuts is expressed here; the last cut is pinned to [T-1].
 
     A backward pass over stages N-1..1, then a traceback over stages 0..N-1
-    from frame -1; the best stage-0 candidate is the score.
+    from frame -1, both over the whole batch at once; the best stage-0
+    candidate is the score.  A stage pair takes the monotone step when the
+    batch's grids hold at least MONOTONE_MIN_CELLS cells in total.  Every
+    problem gets the lengths and score bits it would get alone.
 
-    Returns (lengths, score).  Raises ValueError when no legal path exists.
+    Returns (lengths, score): an (N,) array and a float, or a (B, N) array
+    and a (B,) array for batched input.  Raises ValueError when some
+    problem has no legal path.
     """
     loglik = np.asarray(stage_loglik, dtype=np.float64)
     lam = np.asarray(stage_lambdas, dtype=np.float64)
-    n_seg, t_total = loglik.shape
-    if not np.all(np.isfinite(loglik)):
+    single = loglik.ndim == 2
+    if single:
+        loglik, lam = loglik[None], lam[None]
+    n_batch, n_seg, t_total = loglik.shape
+    # cs[b, n, j+1] = sum of loglik[b, n, :j+1]; a running sum stays
+    # non-finite once it is, so the row totals check every frame and every
+    # partial sum (an overflow would turn cut differences into nan)
+    cs = np.zeros((n_batch, n_seg, t_total + 1))
+    np.cumsum(loglik, axis=2, out=cs[:, :, 1:])
+    if not np.all(np.isfinite(cs[:, :, -1])):
         raise ValueError("non-finite frame log-likelihoods")
-    if np.any(lam <= 0):
+    if not np.all((lam > 0) & (lam < np.inf)):  # nan and inf give nan tables
         raise ValueError("lambda must be positive")
     if len(domains) != n_seg - 1:
         raise ValueError("need exactly N-1 cut domains")
@@ -121,47 +158,65 @@ def best_cuts(stage_loglik, stage_lambdas, domains):
             raise ValueError("cut domain %d out of range" % k)
     doms = [np.arange(lo, hi + 1) for lo, hi in domains] + [np.array([t_total - 1])]
 
-    pois = poisson_table(lam, t_total)
-    # cs[n, j+1] = sum of loglik[n, :j+1]
-    cs = np.concatenate([np.zeros((n_seg, 1)), np.cumsum(loglik, axis=1)], axis=1)
+    # pois[b, k]: the table row of stage k of problem b
+    width = 2 * t_total + 1
+    pois = poisson_table(lam.reshape(-1), t_total).reshape(n_batch, n_seg, width)
 
-    # suffix[k][i]: best score of stages k+1..N-1 given cut k at doms[k][i]
-    suffix = [None] * (n_seg - 1) + [np.zeros(1)]
+    # suffix[k][b, i]: best score of stages k+1..N-1 given cut k at doms[k][i]
+    suffix = [None] * (n_seg - 1) + [np.zeros((n_batch, 1))]
     for k in range(n_seg - 1, 0, -1):
         d0, d1 = doms[k - 1], doms[k]
         w1, w2 = d0.shape[0], d1.shape[0]
-        # pois[k, T + d1[i2] - d0[i1]] is Toeplitz: row i1 reads the profile
-        # from offset (w1-1) - i1.  Free cuts are <= T-2, so base >= 2.
+        # pois[b, k, T + d1[i2] - d0[i1]] is Toeplitz: row i1 reads the
+        # profile from offset (w1-1) - i1.  Free cuts are <= T-2, so base >= 2.
         base = t_total + int(d1[0]) - int(d0[-1])
-        profile = pois[k, base: base + w1 - 1 + w2]
-        q = cs[k, d1 + 1] + suffix[k]
+        profile = pois[:, k, base: base + w1 - 1 + w2]
+        q = cs[:, k, d1[0] + 1: d1[-1] + 2] + suffix[k]
         # the row-constant cs term is pulled out of the max
-        step = _row_max_monotone if w1 * w2 >= MONOTONE_MIN_CELLS else _row_max_dense
-        suffix[k - 1] = step(profile, q, w1) - cs[k, d0 + 1]
+        step = (_row_max_monotone if n_batch * w1 * w2 >= MONOTONE_MIN_CELLS
+                else _row_max_dense)
+        suffix[k - 1] = step(profile, q, w1) - cs[:, k, d0[0] + 1: d0[-1] + 2]
 
-    cuts = [-1]
+    # flat row offsets for stage k of problem b: pois_at - prev + j2 reads
+    # length j2 - prev, cs_at + prev reads cs[b, k, prev + 1]
+    pois_flat, cs_flat = pois.reshape(-1), cs.reshape(-1)
+    row = np.arange(n_batch * n_seg).reshape(n_batch, n_seg)
+    pois_at = row * width + t_total
+    cs_at = row * (t_total + 1) + 1
+    cuts = np.empty((n_batch, n_seg + 1), dtype=np.int64)
+    cuts[:, 0] = -1
     for k in range(n_seg):
-        prev, j2 = cuts[-1], doms[k]
-        cand = pois[k, t_total + j2 - prev] + cs[k, j2 + 1] - cs[k, prev + 1] + suffix[k]
+        prev, j2 = cuts[:, k], doms[k]
+        cand = (pois_flat[(pois_at[:, k] - prev)[:, None] + j2]
+                + cs[:, k, j2[0] + 1: j2[-1] + 2]
+                - cs_flat[cs_at[:, k] + prev][:, None]
+                + suffix[k])
         if k == 0:
-            score = cand.max()
-            if not np.isfinite(score):
+            score = cand.max(axis=1)
+            if not np.all(np.isfinite(score)):
                 raise ValueError("no legal path through the cut domains")
-        cuts.append(int(j2[int(np.argmax(cand))]))
-    return np.diff(cuts), float(score)
+        cuts[:, k + 1] = j2[np.argmax(cand, axis=1)]
+    lengths = np.diff(cuts, axis=1)
+    if single:
+        return lengths[0], float(score[0])
+    return lengths, score
 
 
-def best_segmentation(actions, loglik, classes, hmm_params, domains):
-    """Best cut placement for the label sequence `actions` under the segment
-    HMM: lengths, frame likelihoods and transitions.
+def best_segmentation(sequences, loglik, classes, hmm_params, domains):
+    """Best cut placements for equal-length label sequences under the
+    segment HMM: lengths, frame likelihoods and transitions.
 
     loglik rows follow the sorted `classes`, as in oracle.score_segmentation;
-    domains are those of best_cuts.  Returns (Segmentation, log-score).
+    domains are those of best_cuts, shared by every sequence, which all run
+    through one batched best_cuts.  Returns one (Segmentation, log-score)
+    per sequence, in order.
     """
-    actions = [int(c) for c in actions]
+    sequences = [[int(c) for c in actions] for actions in sequences]
+    seqs = np.array(sequences, dtype=np.int64)
     row = {c: i for i, c in enumerate(classes)}
-    stage_loglik = np.asarray(loglik)[[row[c] for c in actions]]
-    lengths, score = best_cuts(stage_loglik, hmm_params.lambdas[actions], domains)
+    stage_loglik = np.asarray(loglik)[[[row[c] for c in actions] for actions in sequences]]
+    lengths, scores = best_cuts(stage_loglik, hmm_params.lambdas[seqs], domains)
     with np.errstate(divide="ignore"):
-        score += np.log(hmm_params.transitions[actions[:-1], actions[1:]]).sum()
-    return Segmentation(actions, lengths), float(score)
+        scores = scores + np.log(hmm_params.transitions[seqs[:, :-1], seqs[:, 1:]]).sum(axis=1)
+    return [(Segmentation(actions, seg_lengths), float(score))
+            for actions, seg_lengths, score in zip(sequences, lengths, scores)]

@@ -4,6 +4,11 @@ Candidate action sequences are sampled from an action set until their mean
 lengths cover the video, each candidate is aligned by the exact segmental
 Viterbi, and the best posterior wins.  Segmentation draws the set from the
 training ground truths; alignment is told the true set.
+
+Repeated candidates are aligned once.  The distinct ones are grouped by
+length, and each group runs through the batched DP in chunks of at most
+BATCH_FRAMES stage frames; the winner is the first candidate in sample
+order with the best score, exactly as if each were aligned on its own.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ RESAMPLE_CAP = 10 ** 6
 # picks drawn per rng call; one array draw yields the same values as as many
 # scalar draws, at a fraction of the per-call overhead
 DRAW_BLOCK = 1024
+# distinct candidates of one length are aligned in batches of at most
+# BATCH_FRAMES stage frames (batch size x segments x frames), which bounds
+# the batch's tables
+BATCH_FRAMES = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -100,18 +109,26 @@ def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
     classes = sorted(action_set)
     rows = hmm_mod.log_frame_likelihood(scores.log_softmax[classes],
                                         hmm_params.priors[classes])
+    # singleton sets sample immediate repeats; the merged form scores
+    # identically except through self-transitions, which carry no mass.
+    # aligned: distinct candidates in first-seen order -> (Segmentation, score)
+    aligned = dict.fromkeys(tuple(c for i, c in enumerate(cand.actions)
+                                  if i == 0 or c != cand.actions[i - 1])
+                            for cand in seqs)
+    by_length = {}
+    for actions in aligned:
+        by_length.setdefault(len(actions), []).append(actions)
+    for n_seg, group in by_length.items():
+        domains = _alignment_domains(n_seg, num_frames)
+        chunk = max(1, BATCH_FRAMES // (n_seg * num_frames))
+        for i in range(0, len(group), chunk):
+            part = group[i: i + chunk]
+            aligned.update(zip(part, dp.best_segmentation(part, rows, classes, hmm_params,
+                                                          domains)))
+    # a repeat never beats its own score, so walking first appearances with a
+    # strict > picks the earliest sampled of the tied best candidates
     best = None
-    cache = {}
-    for cand in seqs:
-        # singleton sets sample immediate repeats; the merged form scores
-        # identically except through self-transitions, which carry no mass
-        actions = tuple(c for i, c in enumerate(cand.actions)
-                        if i == 0 or c != cand.actions[i - 1])
-        if actions not in cache:
-            cache[actions] = dp.best_segmentation(
-                actions, rows, classes, hmm_params,
-                _alignment_domains(len(actions), num_frames))
-        seg, score = cache[actions]
+    for seg, score in aligned.values():
         if best is None or score > best[1]:
             best = (seg, score)
     if best[1] == -np.inf:

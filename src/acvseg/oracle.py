@@ -107,7 +107,11 @@ def brute_force_all_color(loglik, classes, hmm_params, num_frames, max_segments)
 def random_instance(rng_or_seed, max_frames=40, max_classes=3, spread=2.0):
     """A random small segmentation problem for equivalence sweeps: frame
     log-likelihoods, HMM parameters, and an anchor graph over disjoint
-    random intervals with the set's classes in random temporal order."""
+    random intervals with the set's classes in random temporal order.
+    A set of max_classes actions needs 2 * max_classes anchor edges."""
+    if max_classes < 1 or max_frames < max(4, 2 * max_classes):
+        raise ValueError("need max_classes >= 1 and max_frames >= max(4, 2 * max_classes), "
+                         "got max_frames %d, max_classes %d" % (max_frames, max_classes))
     rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
         else fork_rng(rng_or_seed, "instance")
     m = int(rng.integers(1, max_classes + 1))

@@ -56,6 +56,8 @@ class MlpParams:
 
     @classmethod
     def init(cls, dim, n_classes, n_hidden=N_HIDDEN, seed=0):
+        if n_hidden < 1:
+            raise ValueError("n_hidden must be >= 1, got %d" % n_hidden)
         rng = fork_rng(seed, "mlp-init")
         w1 = rng.normal(0.0, np.sqrt(2.0 / dim), size=(n_hidden, dim))
         w2 = rng.normal(0.0, np.sqrt(1.0 / n_hidden), size=(n_classes, n_hidden))
@@ -204,8 +206,10 @@ def mil_pretrain(params, corpus, epochs, lr, seed=0):
     """SGD over shuffled videos on the multi-instance objective.
 
     corpus: sequence of (features, action_set) pairs.  Zero epochs returns
-    an unchanged copy.
+    an unchanged copy; fewer are an error.
     """
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0, got %d" % epochs)
     params = params.copy()
     corpus = list(corpus)
     if not corpus:

@@ -309,6 +309,39 @@ class TestErrorPaths:
         assert captured.err == "error: iters must be >= 0, got -5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "-3", "epochs must be >= 0, got -3"),
+        ("--hidden", "0", "n_hidden must be >= 1, got 0"),
+        ("--hidden", "-1", "n_hidden must be >= 1, got -1")])
+    def test_bad_pretrain_size_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                                          flag, value, message):
+        _, corpus, _, _ = pipeline
+        out = tmp_path / "bad.ckpt"
+        capsys.readouterr()
+        assert run_cli(["pretrain", "--manifest", str(corpus / "manifest.txt"),
+                        "--out", str(out), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+        assert not out.exists()
+
+    def test_zero_pretrain_epochs_stay_valid(self, pipeline, tmp_path):
+        _, corpus, _, _ = pipeline
+        assert run_cli(["pretrain", "--manifest", str(corpus / "manifest.txt"),
+                        "--out", str(tmp_path / "zero.ckpt"), "--epochs", "0"]) == 0
+        assert (tmp_path / "zero.ckpt").exists()
+
+    @pytest.mark.parametrize("argv, got", [
+        (["--tmax", "5"], "got max_frames 5, max_classes 3"),
+        (["--cmax", "0"], "got max_frames 40, max_classes 0")])
+    def test_oracle_check_bounds_exit_1_with_one_line(self, capsys, argv, got):
+        capsys.readouterr()
+        assert run_cli(["oracle-check", "--trials", "3"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: need max_classes >= 1 and max_frames >= "
+                                "max(4, 2 * max_classes), %s\n" % got)
+
     @pytest.mark.parametrize("meta", ["iteration", "iteration 7 9"], ids=["no-value", "two"])
     @pytest.mark.parametrize("command", ["train", "segment", "align"])
     def test_malformed_meta_exits_1_with_one_line(self, pipeline, tmp_path, capsys,

@@ -36,22 +36,117 @@ def test_monotone_row_max_equals_dense_bit_for_bit():
     rng = np.random.default_rng(0)
     for trial in range(2000):
         w1, w2 = (int(v) for v in rng.integers(1, 48, size=2))
-        offset = int(rng.integers(-w1 - 3, w2 + 4))
-        profile = stage_grid(w1, w2, offset, float(rng.uniform(0.5, 60.0)))
-        kind = trial % 3
-        if kind == 0:
-            q = np.zeros(w2)  # ties everywhere
-        elif kind == 1:
-            q = rng.integers(0, 3, size=w2).astype(np.float64)
-        else:
-            q = np.cumsum(rng.standard_normal(w2))
-        cut = int(rng.integers(0, w2 + 1))
-        if trial % 4 == 1:
-            q[:cut] = dp.NEG_INF  # infeasible early states
-        elif trial % 4 == 2:
-            q[cut:] = dp.NEG_INF  # infeasible late states: all -inf suffix rows
+        n_batch = int(rng.integers(1, 5))
+        profiles, qs = [], []
+        for b in range(n_batch):
+            offset = int(rng.integers(-w1 - 3, w2 + 4))
+            profiles.append(stage_grid(w1, w2, offset, float(rng.uniform(0.5, 60.0))))
+            kind = (trial + b) % 3
+            if kind == 0:
+                q = np.zeros(w2)  # ties everywhere
+            elif kind == 1:
+                q = rng.integers(0, 3, size=w2).astype(np.float64)
+            else:
+                q = np.cumsum(rng.standard_normal(w2))
+            cut = int(rng.integers(0, w2 + 1))
+            if (trial + b) % 4 == 1:
+                q[:cut] = dp.NEG_INF  # infeasible early states
+            elif (trial + b) % 4 == 2:
+                q[cut:] = dp.NEG_INF  # infeasible late states: all -inf suffix rows
+            qs.append(q)
+        if n_batch > 1 and trial % 2:
+            qs[int(rng.integers(n_batch))][:] = dp.NEG_INF  # one problem's rows all -inf
+        profile, q = np.stack(profiles), np.stack(qs)
         got = dp._row_max_monotone(profile, q, w1)
+        assert got.shape == (n_batch, w1)
         np.testing.assert_array_equal(got, dp._row_max_dense(profile, q, w1))
+
+
+def random_batch(rng, n_batch, n_seg, t_total):
+    """Problems that share their cut domains: Gaussian, integer (tie-prone)
+    or zero log-likelihoods, and either shared or per-problem lambdas."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        loglik = rng.standard_normal((n_batch, n_seg, t_total)) * rng.uniform(0.1, 3.0)
+    elif kind == 1:
+        loglik = rng.integers(-2, 3, size=(n_batch, n_seg, t_total)).astype(np.float64)
+    else:
+        loglik = np.zeros((n_batch, n_seg, t_total))
+    lam = rng.uniform(1.0, 2.0 * t_total / n_seg + 1.0, size=(n_batch, n_seg))
+    if rng.random() < 0.3:
+        lam[:] = lam[0]
+    return loglik, lam
+
+
+def random_domains(rng, n_seg, t_total):
+    kind = int(rng.integers(3))
+    if kind == 0:  # alignment: every cut free
+        return tuple((k, t_total - 1 - (n_seg - 1 - k)) for k in range(n_seg - 1))
+    if kind == 1:  # narrow, anchor-like, possibly overlapping
+        cuts = np.sort(rng.integers(0, t_total - 1, size=n_seg - 1))
+        radius = int(rng.integers(0, 8))
+        return tuple((max(0, int(c) - radius), min(t_total - 2, int(c) + radius))
+                     for c in cuts)
+    los = np.sort(rng.integers(0, t_total - 1, size=n_seg - 1))
+    his = np.maximum(np.sort(rng.integers(0, t_total - 1, size=n_seg - 1)), los)
+    return tuple((int(lo), int(hi)) for lo, hi in zip(los, his))
+
+
+def solve_each(loglik, lam, domains):
+    """best_cuts per problem: (lengths, score bits) or the error message."""
+    out = []
+    for b in range(loglik.shape[0]):
+        try:
+            lengths, score = dp.best_cuts(loglik[b], lam[b], domains)
+            assert isinstance(score, float) and lengths.shape == (loglik.shape[1],)
+            out.append((tuple(lengths), np.float64(score).tobytes()))
+        except ValueError as err:
+            out.append(str(err))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("min_cells", [10 ** 12, 0], ids=["dense", "monotone"])
+def test_batched_best_cuts_equals_per_problem_calls(monkeypatch, min_cells):
+    monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
+    rng = np.random.default_rng(21)
+    n_single = n_infeasible = 0
+    for _ in range(150):
+        n_seg = int(rng.integers(1, 6))
+        n_single += n_seg == 1
+        t_total = int(rng.integers(max(2, n_seg), 12 if rng.random() < 0.3 else 90))
+        n_batch = int(rng.integers(1, 7))
+        loglik, lam = random_batch(rng, n_batch, n_seg, t_total)
+        if n_seg > 1 and rng.random() < 0.1:
+            # every path of one problem sums two ~-1e308 length terms to -inf
+            lam[int(rng.integers(n_batch)), :2] = 1e308
+        domains = random_domains(rng, n_seg, t_total)
+        expect = solve_each(loglik, lam, domains)
+        errors = [e for e in expect if isinstance(e, str)]
+        if errors:
+            n_infeasible += 1
+            with pytest.raises(ValueError) as err:
+                dp.best_cuts(loglik, lam, domains)
+            assert str(err.value) in errors
+            continue
+        lengths, scores = dp.best_cuts(loglik, lam, domains)
+        assert lengths.shape == (n_batch, n_seg) and scores.shape == (n_batch,)
+        assert [(tuple(l), np.float64(s).tobytes())
+                for l, s in zip(lengths, scores)] == expect
+    assert n_single > 10 and n_infeasible > 10
+
+
+@pytest.mark.parametrize("min_cells", [10 ** 12, 0], ids=["dense", "monotone"])
+def test_overflowing_sums_and_nan_lambdas_are_rejected(monkeypatch, min_cells):
+    monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
+    domains = ((0, 5), (2, 7))
+    loglik = np.zeros((3, 10))
+    loglik[1, 3:5] = -1e308  # finite frames whose running sum overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        dp.best_cuts(loglik, np.full(3, 3.0), domains)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            dp.best_cuts(np.zeros((3, 10)), np.array([3.0, bad, 3.0]), domains)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -116,16 +211,22 @@ def test_best_segmentation_scores_like_the_oracle():
     for _ in range(50):
         t_total = int(rng.integers(4, 40))
         classes = sorted(rng.choice(6, size=3, replace=False).tolist())
-        actions = [classes[i] for i in rng.permutation(3)][:int(rng.integers(1, 4))]
+        n_seg = int(rng.integers(1, 4))
+        # equal-length sequences, some with repeated labels
+        sequences = [[classes[i] for i in rng.permutation(3)][:n_seg] for _ in range(3)]
+        actions = sequences[0]
         trans = rng.random((6, 6))
         np.fill_diagonal(trans, 0.0)
         trans[actions[0], actions[-1]] = 0.0  # some sequences carry a -inf transition
         params = hmm.HmmParams(trans / trans.sum(axis=1, keepdims=True),
                                rng.uniform(2.0, 20.0, 6), np.full(6, 0.5))
         loglik = rng.standard_normal((3, t_total))  # rows follow the sorted classes
-        domains = tuple((k, t_total - 1 - (len(actions) - 1 - k))
-                        for k in range(len(actions) - 1))
-        seg, score = dp.best_segmentation(actions, loglik, classes, params, domains)
-        assert seg.actions == tuple(actions) and seg.num_frames == t_total
-        assert score == pytest.approx(oracle.score_segmentation(
-            seg.actions, seg.lengths, loglik, classes, params), abs=1e-9)
+        domains = tuple((k, t_total - 1 - (n_seg - 1 - k)) for k in range(n_seg - 1))
+        results = dp.best_segmentation(sequences, loglik, classes, params, domains)
+        assert len(results) == len(sequences)
+        for seq, (seg, score) in zip(sequences, results):
+            assert seg.actions == tuple(seq) and seg.num_frames == t_total
+            assert score == pytest.approx(oracle.score_segmentation(
+                seg.actions, seg.lengths, loglik, classes, params), abs=1e-9)
+            alone = dp.best_segmentation([seq], loglik, classes, params, domains)
+            assert alone == [(seg, score)]

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from acvseg import dp, hmm, infer, metrics, scorer
-from acvseg.core import ActionSet, FrameFeatures
+from acvseg.core import ActionSet, FrameFeatures, Segmentation
 from acvseg.rng import fork_rng
 
 
@@ -143,8 +145,8 @@ def align_sequence(actions, x, mlp, params):
     scores = scorer.forward(mlp, x)
     classes = sorted(set(actions))
     rows = hmm.log_frame_likelihood(scores.log_softmax[classes], params.priors[classes])
-    return dp.best_segmentation(actions, rows, classes, params,
-                                infer._alignment_domains(len(actions), rows.shape[1]))
+    return dp.best_segmentation([actions], rows, classes, params,
+                                infer._alignment_domains(len(actions), rows.shape[1]))[0]
 
 
 class TestAlignSequence:
@@ -297,3 +299,139 @@ class TestAlignVideo:
             small.append(p_small)
             large.append(p_large)
         assert np.mean(large) >= np.mean(small)
+
+
+def per_candidate_reference(x, action_set, mlp, params, k, rng):
+    """The Monte-Carlo decoder with one unbatched best_cuts call per distinct
+    candidate, walked in sample order with a strict > on the score."""
+    scores = scorer.forward(mlp, x)
+    num_frames = scores.logits.shape[1]
+    seqs = infer.sample_sequences(action_set, params.lambdas, num_frames, k, rng)
+    classes = sorted(action_set)
+    rows = hmm.log_frame_likelihood(scores.log_softmax[classes], params.priors[classes])
+    best, cache = None, {}
+    for cand in seqs:
+        actions = [c for i, c in enumerate(cand.actions) if i == 0 or c != cand.actions[i - 1]]
+        key = tuple(actions)
+        if key not in cache:
+            lengths, score = dp.best_cuts(rows[[classes.index(c) for c in actions]],
+                                          params.lambdas[actions],
+                                          infer._alignment_domains(len(actions), num_frames))
+            with np.errstate(divide="ignore"):
+                score += np.log(params.transitions[actions[:-1], actions[1:]]).sum()
+            cache[key] = (Segmentation(actions, lengths), float(score))
+        if best is None or cache[key][1] > best[1]:
+            best = cache[key]
+    if best[1] == -np.inf:
+        raise ValueError("every candidate sequence scores -inf")
+    return best, list(cache)
+
+
+def random_decode_case(rng, n_classes=6):
+    """A random video, scorer and HMM whose lambdas spread widely, so one
+    video's candidates come in several lengths."""
+    t_total = int(rng.integers(40, 160))
+    members = ActionSet(rng.choice(n_classes, size=int(rng.integers(1, 5)), replace=False))
+    trans = rng.random((n_classes, n_classes))
+    np.fill_diagonal(trans, 0.0)
+    trans[rng.random((n_classes, n_classes)) < 0.1] = 0.0  # some -inf transitions
+    trans /= np.maximum(trans.sum(axis=1, keepdims=True), 1e-12)
+    lam = rng.uniform(3.0, t_total / 2.0, size=n_classes)
+    params = hmm.HmmParams(trans, lam, rng.uniform(0.2, 0.8, n_classes))
+    mlp = scorer.MlpParams.init(4, n_classes, n_hidden=6, seed=int(rng.integers(100)))
+    x = FrameFeatures(rng.standard_normal((t_total, 4)))
+    return x, members, mlp, params
+
+
+def decode_both(x, members, mlp, params, k, seed):
+    """(batched result, reference result, distinct candidates in sample order)."""
+    try:
+        got = infer._best_over_candidates(x, members, mlp, params, k, fork_rng(seed, "t"))
+    except ValueError as err:
+        got = str(err)
+    try:
+        expect, distinct = per_candidate_reference(x, members, mlp, params, k,
+                                                   fork_rng(seed, "t"))
+    except ValueError as err:
+        expect, distinct = str(err), []
+    if isinstance(got, tuple):
+        assert isinstance(got[1], float)
+        got = (got[0], np.float64(got[1]).tobytes())
+    if isinstance(expect, tuple):
+        expect = (expect[0], np.float64(expect[1]).tobytes())
+    return got, expect, distinct
+
+
+class TestBatchedDecoding:
+    """Batched candidate decoding returns the per-candidate loop's bits."""
+
+    def test_random_videos_match_the_per_candidate_loop(self):
+        rng = np.random.default_rng(17)
+        n_mixed = n_singleton = 0
+        for trial in range(40):
+            x, members, mlp, params = random_decode_case(rng)
+            got, expect, distinct = decode_both(x, members, mlp, params, 30, trial)
+            assert got == expect
+            n_mixed += len({len(a) for a in distinct}) > 1
+            n_singleton += len(members) == 1
+        assert n_mixed > 10 and n_singleton > 3
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_groups_split_across_chunks_match(self, monkeypatch, chunk):
+        parts = []  # (candidate length, candidates) of each batched call
+        batched = dp.best_segmentation
+
+        def spy(sequences, *args):
+            parts.append((len(sequences[0]), len(sequences)))
+            return batched(sequences, *args)
+
+        monkeypatch.setattr(dp, "best_segmentation", spy)
+        rng = np.random.default_rng(23)
+        n_split = 0
+        for trial in range(12):
+            x, members, mlp, params = random_decode_case(rng)
+            _, _, distinct = decode_both(x, members, mlp, params, 30, trial)
+            if not distinct:
+                continue
+            # the most common length is aligned `chunk` candidates at a time
+            n_seg, size = Counter(len(a) for a in distinct).most_common(1)[0]
+            monkeypatch.setattr(infer, "BATCH_FRAMES", chunk * n_seg * x.num_frames)
+            parts.clear()
+            got, expect, _ = decode_both(x, members, mlp, params, 30, trial)
+            assert got == expect
+            group = [n for length, n in parts if length == n_seg]
+            assert sum(group) == size and max(group) == min(chunk, size)
+            # split into full parts and, for chunk > 1, a shorter remainder
+            n_split += len(group) > 2 and (chunk == 1 or group[-1] < chunk)
+        assert n_split > 2
+
+    def test_exact_ties_go_to_the_earliest_candidate(self):
+        # flat posteriors, equal lambdas and priors, uniform transitions:
+        # every order of the set scores the same bits
+        params = hmm.HmmParams(np.full((3, 3), 0.5) - 0.5 * np.eye(3),
+                               np.full(3, 8.0), np.full(3, 1 / 3))
+        mlp = scorer.MlpParams.init(2, 3, n_hidden=4, seed=0)
+        mlp.W2[:] = 0.0
+        x = FrameFeatures(np.random.default_rng(0).standard_normal((20, 2)))
+        for seed in range(6):
+            got, expect, distinct = decode_both(x, ActionSet([0, 1, 2]), mlp, params, 12,
+                                                seed)
+            assert got == expect and len(distinct) > 1
+            assert got[0].actions == distinct[0]
+
+    def test_long_video_decodes_in_bounded_memory(self):
+        rng = np.random.default_rng(7)
+        trans = rng.random((7, 7))
+        np.fill_diagonal(trans, 0.0)
+        params = hmm.HmmParams(trans / trans.sum(axis=1, keepdims=True),
+                               rng.uniform(140.0, 220.0, 7), np.full(7, 1 / 7))
+        mlp = scorer.MlpParams.init(16, 7, n_hidden=32, seed=7)
+        x = FrameFeatures(rng.standard_normal((1100, 16)))
+        members = ActionSet(rng.choice(7, size=6, replace=False))
+        tracemalloc.start()
+        try:
+            infer.align_video(x, members, mlp, params, k=1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
