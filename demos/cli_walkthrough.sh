@@ -42,9 +42,9 @@ acvseg align --manifest "$WORK/test/manifest.txt" --ckpt "$WORK/model.ckpt" \
 
 # 5. Score against the hidden frame labels (eval manifest carries them).
 echo "--- segmentation ---"
-acvseg eval --pred "$WORK/pred_seg" --gt "$WORK/test/manifest_eval.txt" --metric all
+acvseg eval --pred "$WORK/pred_seg" --gt "$WORK/test/manifest_eval.txt"
 echo "--- alignment ---"
-acvseg eval --pred "$WORK/pred_align" --gt "$WORK/test/manifest_eval.txt" --metric all
+acvseg eval --pred "$WORK/pred_align" --gt "$WORK/test/manifest_eval.txt"
 
 # 6. Sanity: the segmental Viterbi agrees with brute-force enumeration.
 acvseg oracle-check --tmax 30 --cmax 3 --trials 10 --seed 0

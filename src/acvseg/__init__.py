@@ -24,7 +24,7 @@ from .metrics import anchor_iod, corpus_mof, iod, midpoint_hit, mof
 from .oracle import (brute_force_all_color, brute_force_anchor_best, random_instance,
                      score_segmentation)
 from .scorer import (FrameScores, MlpParams, cross_entropy_loss, diversity_loss, forward,
-                     mil_pretrain, sgd_step, total_loss)
+                     mil_pretrain, sgd_step)
 from .training import TrainConfig, load_corpus, loss_and_grads, pseudo_ground_truth, train
 
 __version__ = "0.1.0"

@@ -86,7 +86,7 @@ def window_sum(rows, tau):
     return cs[:, hi] - cs[:, lo]
 
 
-def compute_saliency(scores, action_set, tau=15):
+def compute_saliency(scores, action_set, tau):
     """S[c, t]: windowed sum of log f_c margins over the per-frame worst class
     of the set.  Rows follow the sorted order of `action_set`; every entry is
     non-negative."""
@@ -116,7 +116,7 @@ def saliency_backward(d_saliency, argmin_rows, tau):
     return d_logf
 
 
-def select_anchors(saliency, actions, lambdas, alpha=0.6):
+def select_anchors(saliency, actions, lambdas, alpha):
     """Place one anchor per action at its saliency peak, grow an interval of
     half-width floor(alpha * lambda / 2), and resolve overlaps.
 

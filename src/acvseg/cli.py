@@ -1,6 +1,11 @@
 """Command-line entry points: corpus synthesis, pretraining, training,
 segmentation, alignment, evaluation, and oracle equivalence sweeps.
 
+`eval` prints one table, then the same rows as CSV: frame accuracy (mof),
+detection overlap (iod) and midpoint hits, per video and pooled over the
+corpus ("overall").  Defaults of the decoding and length-floor settings
+live in this parser, those of training in `training.TrainConfig`.
+
 Exit codes: 0 on success, 2 on usage errors (including missing input
 files), 1 on runtime failures with a one-line diagnostic.
 """
@@ -10,8 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 
 from . import acv, data, hmm as hmm_mod, infer, metrics, oracle, scorer, training
 from .core import expand_segmentation
@@ -55,9 +58,6 @@ def cmd_train(args):
     ck_vocab, hmm_params, mlp, start_iter = data.read_checkpoint(args.init)
     if ck_vocab != vocab:
         raise ValueError("checkpoint vocabulary does not match the manifest")
-    if args.lmin is not None:
-        hmm_params = hmm_params.copy()
-        np.maximum(hmm_params.lambdas, args.lmin, out=hmm_params.lambdas)
     cfg = training.TrainConfig(iters=args.iters, lr=args.lr, lr_drop_at=args.lr_drop_at,
                                lr_after=args.lr_after, alpha=args.alpha, beta=args.beta,
                                tau=args.tau, seed=args.seed)
@@ -136,33 +136,21 @@ def cmd_eval(args):
         pooled_pred.extend((c, s + offset, e + offset) for c, s, e in pred_segs)
         pooled_gt.extend((c, s + offset, e + offset) for c, s, e in gt_segs)
         offset += gt.num_frames
-        rows.append(_metric_row(rec.video_id, args.metric, pred, gt, pred_segs, gt_segs))
-    overall_pred = np.concatenate([p.labels for p, _ in pairs])
-    overall_gt = np.concatenate([g.labels for _, g in pairs])
-    rows.append(_metric_row("overall", args.metric, overall_pred, overall_gt,
-                            pooled_pred, pooled_gt))
-    headers = ["video"] + _metric_names(args.metric)
+        rows.append(_metric_row(rec.video_id, metrics.mof(pred, gt), pred_segs, gt_segs))
+    rows.append(_metric_row("overall", metrics.corpus_mof(pairs), pooled_pred, pooled_gt))
+    headers = ["video", "mof", "iod", "midpoint"]
     print(metrics.format_table(headers, rows))
     print()
     print(metrics.format_csv(headers, rows))
 
 
-def _metric_names(which):
-    return ["mof", "iod", "midpoint"] if which == "all" else [which]
-
-
-def _metric_row(vid, which, pred, gt, pred_segs, gt_segs):
-    row = [vid]
-    if which in ("mof", "all"):
-        row.append(metrics.mof(pred, gt))
-    if which in ("iod", "all"):
-        row.append(metrics.iod(pred_segs, gt_segs))
-    if which in ("midpoint", "all"):
-        row.append(metrics.midpoint_hit(pred_segs, gt_segs))
-    return row
+def _metric_row(vid, mof, pred_segs, gt_segs):
+    return [vid, mof, metrics.iod(pred_segs, gt_segs), metrics.midpoint_hit(pred_segs, gt_segs)]
 
 
 def cmd_oracle_check(args):
+    if args.trials < 0:
+        raise ValueError("trials must be >= 0, got %d" % args.trials)
     worst = 0.0
     for trial in range(args.trials):
         inst = oracle.random_instance(fork_rng(args.seed, "oracle-check", trial),
@@ -210,9 +198,6 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=cfg.alpha)
     p.add_argument("--beta", type=float, default=cfg.beta)
     p.add_argument("--tau", type=int, default=cfg.tau)
-    p.add_argument("--lmin", type=float, default=None,
-                   help="raise the expected-length floor of the loaded "
-                   "checkpoint (default: keep checkpoint values)")
     p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--dump-dir", default=None,
                    help="write per-video anchor and cut dumps for the final model")
@@ -236,7 +221,6 @@ def build_parser():
     p = sub.add_parser("eval", help="score predictions against hidden labels")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--metric", choices=["mof", "iod", "midpoint", "all"], default="all")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle-check", help="sweep DP vs brute-force equivalence")

@@ -110,7 +110,9 @@ def write_manifest(path, vocab, records):
 
 def read_manifest(path):
     """Returns (Vocabulary, records); relative paths are resolved against the
-    manifest's directory."""
+    manifest's directory.  A video id is a plain file name: outputs are
+    written to <dir>/<id>.txt, so an id that is empty, "." or "..", or
+    that holds a path separator, is an error."""
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -128,6 +130,8 @@ def read_manifest(path):
         if len(fields) not in (3, 4):
             raise ValueError("%s: malformed record %r" % (path, line))
         vid, feat, names = fields[0], fields[1], tuple(fields[2].split())
+        if vid in ("", ".", "..") or any(sep and sep in vid for sep in ("/", os.sep, os.altsep)):
+            raise ValueError("%s: video id %r is not a plain file name" % (path, vid))
         if vid in seen:
             raise ValueError("%s: duplicate video id %r" % (path, vid))
         seen.add(vid)
@@ -311,11 +315,15 @@ def synth_generate(spec, out_dir):
 
     Emits features/, labels/, a training manifest without label paths, and
     an evaluation manifest that also points at the hidden frame labels.
-    Returns (train_manifest_path, eval_manifest_path).  An invalid spec is
-    a ValueError raised before anything is written.
+    Returns (train_manifest_path, eval_manifest_path).  An invalid spec
+    (fewer than one video, a reversed or out-of-range range, more classes
+    than feature dimensions or than the shortest video has frames) is a
+    ValueError raised before anything is written.
     """
     lo_f, hi_f = spec.frames_range
     lo_s, hi_s = spec.set_size_range
+    if spec.n_videos < 1:
+        raise ValueError("n_videos must be >= 1, got %d" % spec.n_videos)
     if not lo_f <= hi_f:
         raise ValueError("frames_range %s needs lo <= hi" % (spec.frames_range,))
     if not 1 <= lo_s <= hi_s:

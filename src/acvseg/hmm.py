@@ -91,7 +91,7 @@ def init_transitions(sets, n_classes):
     return trans
 
 
-def init_lambdas(video_lengths, sets, n_classes, l_min=50.0):
+def init_lambdas(video_lengths, sets, n_classes, l_min):
     """Per-class mean lengths minimizing sum_v (T_v - sum_{c in C_v} lambda_c)^2
     subject to lambda_c >= l_min.
 
@@ -139,7 +139,7 @@ def init_priors(video_lengths, sets, n_classes):
     return num / video_lengths.sum()
 
 
-def init_params(video_lengths, sets, n_classes, l_min=50.0):
+def init_params(video_lengths, sets, n_classes, l_min):
     video_lengths = list(video_lengths)
     sets = list(sets)
     return HmmParams(init_transitions(sets, n_classes),

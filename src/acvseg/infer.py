@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp, hmm as hmm_mod, scorer
-from .core import ActionSet
 from .rng import fork_rng
 
 RESAMPLE_CAP = 10 ** 6
@@ -33,10 +32,9 @@ BATCH_FRAMES = 2 ** 17
 
 @dataclass(frozen=True)
 class CandidateSequence:
-    """Ordered labels covering `source_set`, no immediate repeats."""
+    """Ordered labels covering the sampled action set, no immediate repeats."""
 
     actions: tuple
-    source_set: ActionSet
 
 
 def sample_sequences(action_set, lambdas, num_frames, k, rng):
@@ -48,14 +46,13 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
     num_frames, and sequences that fail to cover the set are discarded and
     redrawn, up to a global attempt cap.  A set that no draw can cover
     fails at once: every label but the last must be placed while the total
-    is still <= num_frames.  Picks are drawn from `rng` in blocks of
-    DRAW_BLOCK, so the candidates equal those of one scalar draw per pick,
-    but `rng` may end the call advanced past the last pick it used.
+    is still <= num_frames.  `rng` is a numpy Generator; picks are drawn
+    from it in blocks of DRAW_BLOCK, so the candidates equal those of one
+    scalar draw per pick, but `rng` may end the call advanced past the last
+    pick it used.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = fork_rng(rng, "sample")
     labels = action_set.as_array()
     lam = np.asarray(lambdas, dtype=np.float64)[labels]
     if np.any(lam <= 0):
@@ -86,7 +83,7 @@ def sample_sequences(action_set, lambdas, num_frames, k, rng):
             prev = ids[pick]
             seq.append(prev)
         if need.issubset(seq):
-            out.append(CandidateSequence(tuple(seq), action_set))
+            out.append(CandidateSequence(tuple(seq)))
     return out
 
 
@@ -136,7 +133,7 @@ def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
     return best
 
 
-def segment_video(x, training_sets, mlp_params, hmm_params, k=1000, seed=0):
+def segment_video(x, training_sets, mlp_params, hmm_params, k, seed):
     """Segment a test video: sample one training action set uniformly, then
     pick the best-aligned of k candidate sequences drawn from it."""
     training_sets = list(training_sets)
@@ -147,7 +144,7 @@ def segment_video(x, training_sets, mlp_params, hmm_params, k=1000, seed=0):
     return _best_over_candidates(x, chosen, mlp_params, hmm_params, k, rng)
 
 
-def align_video(x, true_set, mlp_params, hmm_params, k=1000, seed=0):
+def align_video(x, true_set, mlp_params, hmm_params, k, seed):
     """Align a test video against its known action set."""
     rng = fork_rng(seed, "align")
     return _best_over_candidates(x, true_set, mlp_params, hmm_params, k, rng)

@@ -16,7 +16,6 @@ import numpy as np
 from .acv import Anchor, AnchorSet, build_graph
 from .core import Segmentation
 from .hmm import HmmParams, log_poisson_length
-from .rng import fork_rng
 
 MAX_ANCHOR_PATHS = 10 ** 7
 MAX_ALL_COLOR_FRAMES = 20
@@ -104,21 +103,20 @@ def brute_force_all_color(loglik, classes, hmm_params, num_frames, max_segments)
     return best
 
 
-def random_instance(rng_or_seed, max_frames=40, max_classes=3, spread=2.0):
-    """A random small segmentation problem for equivalence sweeps: frame
-    log-likelihoods, HMM parameters, and an anchor graph over disjoint
-    random intervals with the set's classes in random temporal order.
-    A set of max_classes actions needs 2 * max_classes anchor edges."""
+def random_instance(rng, max_frames, max_classes):
+    """A random small segmentation problem for equivalence sweeps, drawn from
+    the numpy Generator `rng`: frame log-likelihoods (standard normals
+    times 2), HMM parameters, and an anchor graph over disjoint random
+    intervals with the set's classes in random temporal order.  A set of
+    max_classes actions needs 2 * max_classes anchor edges."""
     if max_classes < 1 or max_frames < max(4, 2 * max_classes):
         raise ValueError("need max_classes >= 1 and max_frames >= max(4, 2 * max_classes), "
                          "got max_frames %d, max_classes %d" % (max_frames, max_classes))
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
-        else fork_rng(rng_or_seed, "instance")
     m = int(rng.integers(1, max_classes + 1))
     t_total = int(rng.integers(max(2 * m, 4), max_frames + 1))
     n_classes = m + int(rng.integers(0, 3))
     classes = sorted(rng.choice(n_classes, size=m, replace=False).tolist())
-    loglik = spread * rng.standard_normal((m, t_total))
+    loglik = 2.0 * rng.standard_normal((m, t_total))
     trans = np.zeros((n_classes, n_classes))
     for c in range(n_classes):
         w = rng.random(n_classes)

@@ -167,10 +167,6 @@ def diversity_loss(saliency):
     return float(loss), d_s
 
 
-def total_loss(ce, div, beta=0.4):
-    return ce + beta * div
-
-
 def sgd_step(params, grads, lr):
     """params - lr * grads; refuses non-finite gradients."""
     for name in ("W1", "b1", "W2", "b2"):

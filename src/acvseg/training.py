@@ -108,7 +108,7 @@ def loss_and_grads(mlp_params, features, action_set, pseudo_labels, tau, beta,
         # d log sigmoid(z) / dz = 1 - sigmoid(z)
         d_logits[rows] += beta * d_logf * (1.0 - scores.sigmoid[rows])
     grads = scorer.backward(mlp_params, cache, d_logits)
-    return scorer.total_loss(ce, div, beta), ce, div, grads
+    return ce + beta * div, ce, div, grads
 
 
 @dataclass

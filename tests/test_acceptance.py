@@ -292,7 +292,8 @@ def test_criterion_8_sampling_validity():
         restricted = lam[members.as_array()]
         t_total = int(restricted.sum() - restricted.max() + rng.integers(1, 40))
         seed = int(rng.integers(2 ** 31))
-        seqs = infer.sample_sequences(members, lam, t_total, 20, seed)
+        seqs = infer.sample_sequences(members, lam, t_total, 20,
+                                      fork_rng(seed, "sample"))
         for cand in seqs:
             labels = list(cand.actions)
             totals = np.cumsum([lam[c] for c in labels])
@@ -304,7 +305,8 @@ def test_criterion_8_sampling_validity():
             all_valid = all_valid and valid
         n_sampled += len(seqs)
         if trial % 25 == 0:
-            again = infer.sample_sequences(members, lam, t_total, 20, seed)
+            again = infer.sample_sequences(members, lam, t_total, 20,
+                                      fork_rng(seed, "sample"))
             deterministic = deterministic and \
                 [c.actions for c in again] == [c.actions for c in seqs]
     ok = all_valid and deterministic and n_sampled == 10000

@@ -275,7 +275,7 @@ class TestConstrainedViterbi:
 
     def test_matches_brute_force_on_random_instances(self):
         for trial in range(60):
-            inst = oracle.random_instance(fork_rng(7, "sweep", trial))
+            inst = oracle.random_instance(fork_rng(7, "sweep", trial), 40, 3)
             seg_dp, score_dp = acv.constrained_viterbi(inst["graph"], inst["loglik"],
                                                        inst["hmm"])
             seg_bf, score_bf = oracle.brute_force_anchor_best(inst["graph"],
@@ -285,14 +285,14 @@ class TestConstrainedViterbi:
 
     def test_output_always_covers_the_set(self):
         for trial in range(40):
-            inst = oracle.random_instance(fork_rng(8, "cover", trial))
+            inst = oracle.random_instance(fork_rng(8, "cover", trial), 40, 3)
             seg, _ = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
             members = ActionSet([a.action for a in inst["graph"].anchors])
             assert validate_segmentation(seg, inst["graph"].num_frames, members)
 
     def test_each_segment_contains_its_anchor(self):
         for trial in range(40):
-            inst = oracle.random_instance(fork_rng(9, "contain", trial))
+            inst = oracle.random_instance(fork_rng(9, "contain", trial), 40, 3)
             seg, _ = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
             start = 0
             for anchor, length in zip(inst["graph"].anchors, seg.lengths):
@@ -302,7 +302,7 @@ class TestConstrainedViterbi:
 
     def test_score_equals_independent_rescoring(self):
         for trial in range(40):
-            inst = oracle.random_instance(fork_rng(10, "rescore", trial))
+            inst = oracle.random_instance(fork_rng(10, "rescore", trial), 40, 3)
             seg, score = acv.constrained_viterbi(inst["graph"], inst["loglik"],
                                                  inst["hmm"])
             classes = sorted({a.action for a in inst["graph"].anchors})
@@ -311,7 +311,7 @@ class TestConstrainedViterbi:
             assert abs(score - again) <= 1e-9
 
     def test_non_finite_likelihood_rejected(self):
-        inst = oracle.random_instance(fork_rng(12, "bad"))
+        inst = oracle.random_instance(fork_rng(12, "bad"), 40, 3)
         bad = inst["loglik"].copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):

@@ -69,8 +69,7 @@ class TestPipeline:
             assert (align_dir / ("vid%03d.txt" % v)).exists()
         capsys.readouterr()
         assert run_cli(["eval", "--pred", str(align_dir),
-                        "--gt", str(corpus / "manifest_eval.txt"),
-                        "--metric", "all"]) == 0
+                        "--gt", str(corpus / "manifest_eval.txt")]) == 0
         out = capsys.readouterr().out
         csv_lines = [l for l in out.splitlines() if "," in l]
         assert csv_lines[0] == "video,mof,iod,midpoint"
@@ -150,8 +149,7 @@ class TestPipeline:
             shutil.copy(rec.labels_path, pred / (rec.video_id + ".txt"))
         capsys.readouterr()
         assert run_cli(["eval", "--pred", str(pred),
-                        "--gt", str(corpus / "manifest_eval.txt"),
-                        "--metric", "all"]) == 0
+                        "--gt", str(corpus / "manifest_eval.txt")]) == 0
         out = capsys.readouterr().out
         for line in out.splitlines():
             if line.startswith("overall,"):
@@ -167,17 +165,6 @@ class TestPipeline:
                         "--init", str(init), "--out", str(out),
                         "--iters", "0"]) == 0
         assert out.read_bytes() == init.read_bytes()
-
-    def test_train_lmin_raises_length_floor(self, pipeline):
-        root, corpus, init, _ = pipeline
-        out = root / "floored.ckpt"
-        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"),
-                        "--init", str(init), "--out", str(out),
-                        "--iters", "0", "--lmin", "20"]) == 0
-        _, hp_init, _, _ = data.read_checkpoint(init)
-        _, hp_out, _, _ = data.read_checkpoint(out)
-        assert np.array_equal(hp_out.lambdas,
-                              np.maximum(hp_init.lambdas, 20.0))
 
 
 class TestOracleCheck:
@@ -206,14 +193,20 @@ class TestErrorPaths:
                         "--init", str(init), "--out", str(root / "x.ckpt"),
                         "--iters", "many"]) == 2
 
-    @pytest.mark.parametrize("value", ["on", "off"])
-    def test_removed_prune_flag_is_a_usage_error(self, pipeline, capsys, value):
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--prune", "on"), ("train", "--prune", "off"),
+        ("train", "--lmin", "10"), ("eval", "--metric", "mof")],
+        ids=["prune-on", "prune-off", "train-lmin", "eval-metric"])
+    def test_removed_flag_is_a_usage_error(self, pipeline, capsys, command, flag, value):
         root, corpus, init, _ = pipeline
+        required = {"train": ["--manifest", str(corpus / "manifest.txt"), "--init", str(init),
+                              "--out", str(root / "x.ckpt")],
+                    "eval": ["--pred", str(root / "seg"),
+                             "--gt", str(corpus / "manifest_eval.txt")]}[command]
         capsys.readouterr()
-        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"), "--init", str(init),
-                        "--out", str(root / "x.ckpt"), "--prune", value]) == 2
+        assert run_cli([command] + required + [flag, value]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage:") and "unrecognized arguments: --prune" in err
+        assert err.startswith("usage:") and "unrecognized arguments: %s" % flag in err
 
     def test_runtime_error_exits_1(self, pipeline, capsys):
         # the training manifest has no label files, so eval cannot score it
@@ -240,9 +233,9 @@ class TestErrorPaths:
         # lambda >= 10 none of them fits the 5 frames of the appended video
         _, corpus, init, _ = pipeline
         floored = tmp_path / "floored.ckpt"
-        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"),
-                        "--init", str(init), "--out", str(floored),
-                        "--iters", "0", "--lmin", "10"]) == 0
+        vocab, hmm_params, mlp, iteration = data.read_checkpoint(str(init))
+        np.maximum(hmm_params.lambdas, 10.0, out=hmm_params.lambdas)
+        data.write_checkpoint(str(floored), vocab, hmm_params, mlp, iteration=iteration)
         vocab, records = data.read_manifest(str(corpus / "manifest_eval.txt"))
         short = tmp_path / "short.txt"
         data.write_features(str(short), np.zeros((5, 8)))
@@ -257,6 +250,23 @@ class TestErrorPaths:
         assert captured.out == ""
         assert "no sequence can cover" in captured.err
         assert not out.exists()
+
+    def test_video_id_outside_out_dir_exits_1_and_writes_nothing(self, pipeline, tmp_path,
+                                                                 capsys):
+        _, corpus, _, trained = pipeline
+        vocab, records = data.read_manifest(str(corpus / "manifest_eval.txt"))
+        records.append(data.VideoRecord("../escaped", records[0].features_path,
+                                        records[0].set_names, None))
+        manifest = tmp_path / "manifest.txt"
+        data.write_manifest(str(manifest), vocab, records)
+        capsys.readouterr()
+        assert run_cli(["align", "--manifest", str(manifest), "--ckpt", str(trained),
+                        "--k", "5", "--out", str(tmp_path / "predroot" / "pred")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: %s: video id '../escaped' is not a plain file name\n"
+                                % manifest)
+        assert not (tmp_path / "predroot").exists()
 
     def test_vocab_mismatch_exits_1(self, pipeline, tmp_path):
         root, corpus, init, _ = pipeline
@@ -283,9 +293,11 @@ class TestErrorPaths:
         (dict(SMALL_SPEC, frames_range=5), "frames_range must be a list of two integers"),
         (dict(SMALL_SPEC, n_videos=2.5), "n_videos must be an integer, found 2.5"),
         (dict(SMALL_SPEC, noise="x"), 'noise must be a finite number, found "x"'),
+        (dict(SMALL_SPEC, n_videos=0), "n_videos must be >= 1, got 0"),
+        (dict(SMALL_SPEC, n_videos=-2), "n_videos must be >= 1, got -2"),
     ], ids=["unknown-key", "removed-field", "not-an-object", "missing-key", "set-size-zero",
             "set-size-reversed", "fraction-negative", "frames-reversed", "string-count",
-            "scalar-range", "float-count", "string-noise"])
+            "scalar-range", "float-count", "string-noise", "no-videos", "negative-videos"])
     def test_bad_spec_exits_1_and_writes_nothing(self, tmp_path, capsys, spec, message):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -342,6 +354,18 @@ class TestErrorPaths:
         assert captured.err == ("error: need max_classes >= 1 and max_frames >= "
                                 "max(4, 2 * max_classes), %s\n" % got)
 
+    def test_negative_oracle_trials_exit_1_with_one_line(self, capsys):
+        capsys.readouterr()
+        assert run_cli(["oracle-check", "--trials", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trials must be >= 0, got -3\n"
+
+    def test_zero_oracle_trials_stay_valid(self, capsys):
+        capsys.readouterr()
+        assert run_cli(["oracle-check", "--trials", "0"]) == 0
+        assert capsys.readouterr().out.startswith("0/0 exact segmentations")
+
     @pytest.mark.parametrize("meta", ["iteration", "iteration 7 9"], ids=["no-value", "two"])
     @pytest.mark.parametrize("command", ["train", "segment", "align"])
     def test_malformed_meta_exits_1_with_one_line(self, pipeline, tmp_path, capsys,
@@ -378,7 +402,9 @@ class TestModuleEntryPoint:
     def test_python_dash_m_help(self):
         import subprocess
         import sys
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         proc = subprocess.run([sys.executable, "-m", "acvseg", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert "oracle-check" in proc.stdout

@@ -190,6 +190,21 @@ class TestManifest:
         with pytest.raises(ValueError):
             data.read_manifest(path)
 
+    @pytest.mark.parametrize("vid", ["", ".", "..", "../escaped", "sub/v1",
+                                     "sub" + os.sep + "v1"],
+                             ids=["empty", "dot", "dot-dot", "parent-path", "slash", "os-sep"])
+    def test_video_id_that_is_not_a_file_name_rejected(self, tmp_path, vid):
+        path = self.make(tmp_path, "vocab\ta b\n%s\tfeat.txt\ta\n" % vid)
+        with pytest.raises(ValueError, match=re.escape(
+                "%s: video id %r is not a plain file name" % (path, vid))):
+            data.read_manifest(path)
+
+    def test_video_id_with_alternative_separator_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "altsep", "\\")
+        path = self.make(tmp_path, "vocab\ta b\nsub\\v1\tfeat.txt\ta\n")
+        with pytest.raises(ValueError, match="is not a plain file name"):
+            data.read_manifest(path)
+
 
 def small_params(seed=0):
     rng = np.random.default_rng(seed)
@@ -370,8 +385,10 @@ class TestSynthGenerate:
         (dict(set_size_range=(3, 2)), "set_size_range"),
         (dict(full_set_fraction=-0.5), "full_set_fraction"),
         (dict(full_set_fraction=1.5), "full_set_fraction"),
+        (dict(n_videos=0), "n_videos must be >= 1, got 0"),
+        (dict(n_videos=-2), "n_videos must be >= 1, got -2"),
     ], ids=["frames-reversed", "set-size-zero", "set-size-reversed", "fraction-negative",
-            "fraction-above-one"])
+            "fraction-above-one", "no-videos", "negative-videos"])
     def test_bad_ranges_rejected_before_writing(self, tmp_path, bad, message):
         spec = dataclasses.replace(SynthSpec(n_classes=4, n_videos=4, frames_range=(30, 40),
                                              feature_dim=5), **bad)

@@ -10,9 +10,9 @@ from acvseg.core import ActionSet, FrameFeatures, Segmentation
 from acvseg.rng import fork_rng
 
 
-def check_candidate(cand, lambdas, num_frames):
+def check_candidate(cand, members, lambdas, num_frames):
     labels = list(cand.actions)
-    members = set(cand.source_set)
+    members = set(members)
     assert members.issubset(set(labels)) and set(labels) == members
     lam = np.asarray(lambdas, dtype=np.float64)
     totals = np.cumsum([lam[c] for c in labels])
@@ -25,13 +25,14 @@ def check_candidate(cand, lambdas, num_frames):
 
 class TestSampleSequences:
     def test_singleton_repeats_until_covered(self):
-        seqs = infer.sample_sequences(ActionSet([0]), np.array([10.0]), 25, 5, 0)
+        seqs = infer.sample_sequences(ActionSet([0]), np.array([10.0]), 25, 5,
+                                      fork_rng(0, "sample"))
         for cand in seqs:
             assert cand.actions == (0, 0, 0)
 
     def test_two_class_tight_budget_forces_permutations(self):
         seqs = infer.sample_sequences(ActionSet([0, 1]), np.array([10.0, 10.0]),
-                                      15, 50, 1)
+                                      15, 50, fork_rng(1, "sample"))
         seen = {cand.actions for cand in seqs}
         assert seen <= {(0, 1), (1, 0)}
         assert len(seen) == 2
@@ -45,15 +46,15 @@ class TestSampleSequences:
             restricted = lam[members.as_array()]
             t_total = int(restricted.sum() - restricted.max() + rng.integers(1, 40))
             seqs = infer.sample_sequences(members, lam, t_total, 3,
-                                          int(rng.integers(2 ** 31)))
+                                          fork_rng(int(rng.integers(2 ** 31)), "sample"))
             for cand in seqs:
-                check_candidate(cand, lam, t_total)
+                check_candidate(cand, members, lam, t_total)
 
     def test_deterministic_under_seed(self):
         members = ActionSet([0, 2, 3])
         lam = np.array([5.0, 9.0, 7.0, 6.0])
-        a = infer.sample_sequences(members, lam, 40, 20, 9)
-        b = infer.sample_sequences(members, lam, 40, 20, 9)
+        a = infer.sample_sequences(members, lam, 40, 20, fork_rng(9, "sample"))
+        b = infer.sample_sequences(members, lam, 40, 20, fork_rng(9, "sample"))
         assert [c.actions for c in a] == [c.actions for c in b]
 
     def test_uncoverable_set_fails_at_once(self, monkeypatch):
@@ -61,21 +62,22 @@ class TestSampleSequences:
         monkeypatch.setattr(infer, "RESAMPLE_CAP", 0)
         with pytest.raises(ValueError, match="no sequence can cover"):
             infer.sample_sequences(ActionSet([0, 1]), np.array([50.0, 50.0]),
-                                   10, 1, 0)
+                                   10, 1, fork_rng(0, "sample"))
 
     def test_shortest_lengths_filling_the_video_still_cover(self):
         # 4 + 6 == 10: both short labels fit before the stop rule fires
         lam = np.array([4.0, 6.0, 10.0])
-        seqs = infer.sample_sequences(ActionSet([0, 1, 2]), lam, 10, 20, 3)
+        seqs = infer.sample_sequences(ActionSet([0, 1, 2]), lam, 10, 20, fork_rng(3, "sample"))
         for cand in seqs:
-            check_candidate(cand, lam, 10)
+            check_candidate(cand, ActionSet([0, 1, 2]), lam, 10)
         assert {cand.actions for cand in seqs} == {(0, 1, 2), (1, 0, 2)}
         with pytest.raises(ValueError, match="no sequence can cover"):
-            infer.sample_sequences(ActionSet([0, 1, 2]), lam, 9, 1, 3)
+            infer.sample_sequences(ActionSet([0, 1, 2]), lam, 9, 1, fork_rng(3, "sample"))
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
-            infer.sample_sequences(ActionSet([0]), np.array([0.0]), 10, 1, 0)
+            infer.sample_sequences(ActionSet([0]), np.array([0.0]), 10, 1,
+                                   fork_rng(0, "sample"))
 
     def test_block_draws_equal_one_scalar_draw_per_pick(self):
         rng = np.random.default_rng(5)

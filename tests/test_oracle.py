@@ -117,8 +117,8 @@ class TestAllColor:
 
 def test_random_instance_is_reproducible_and_well_formed():
     for seed in range(10):
-        a = oracle.random_instance(seed)
-        b = oracle.random_instance(seed)
+        a = oracle.random_instance(fork_rng(seed, "instance"), 40, 3)
+        b = oracle.random_instance(fork_rng(seed, "instance"), 40, 3)
         np.testing.assert_array_equal(a["loglik"], b["loglik"])
         assert [x.action for x in a["graph"].anchors] \
             == [x.action for x in b["graph"].anchors]

@@ -153,14 +153,6 @@ class TestDiversity:
             assert abs(fd - grad[idx]) < 1e-6
 
 
-class TestTotalLoss:
-    def test_beta_zero_is_plain_cross_entropy(self):
-        assert scorer.total_loss(0.7, 0.9, 0.0) == 0.7
-
-    def test_weighted_sum(self):
-        np.testing.assert_allclose(scorer.total_loss(1.0, 0.5, 0.4), 1.2, atol=1e-12)
-
-
 def grads_like(p, fill=0.0):
     return {"W1": np.full_like(p.W1, fill), "b1": np.full_like(p.b1, fill),
             "W2": np.full_like(p.W2, fill), "b2": np.full_like(p.b2, fill)}
