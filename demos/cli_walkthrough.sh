@@ -28,9 +28,11 @@ acvseg pretrain --manifest "$WORK/train/manifest.txt" --out "$WORK/init.ckpt" \
     --epochs 400 --lr 0.1 --hidden 256 --lmin 10 --seed 3
 
 # 3. Train: anchor-constrained pseudo ground truth, one video per iteration.
+#    --dump-dir keeps, per training video, the anchors and cuts the final
+#    model picks.
 acvseg train --manifest "$WORK/train/manifest.txt" --init "$WORK/init.ckpt" \
     --out "$WORK/model.ckpt" --iters 1500 --lr 0.01 --lr-drop-at 1000000 \
-    --alpha 0.6 --beta 0.4 --tau 15 --seed 3
+    --alpha 0.6 --beta 0.4 --tau 15 --seed 3 --dump-dir "$WORK/dumps"
 
 # 4. Predict.  segment does not see the test video's action set (it samples
 #    one from the training corpus); align is given the true set.

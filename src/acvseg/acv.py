@@ -97,22 +97,18 @@ def compute_saliency(scores, action_set, tau):
     return window_sum(margin, tau)
 
 
-def saliency_argmin(scores, action_set):
-    """Row index (into the sorted set) of the per-frame worst class; the
-    subgradient of the margin's min lands here."""
-    logf = scores.log_sigmoid[action_set.as_array()]
-    return logf.argmin(axis=0)
-
-
-def saliency_backward(d_saliency, argmin_rows, tau):
-    """Map a gradient at the saliency matrix back to one at log f_c rows.
+def saliency_backward(d_saliency, scores, action_set, tau):
+    """Map a gradient at compute_saliency(scores, action_set, tau) back to
+    one at the log f_c rows of the set, in its sorted order.
 
     The window sum is self-adjoint, so the same truncated window applies;
-    the min subtraction routes a negative column sum to the argmin row.
+    the min subtraction routes a negative column sum to each frame's worst
+    class of the set (the first on ties), where the subgradient lands.
     """
+    worst = scores.log_sigmoid[action_set.as_array()].argmin(axis=0)
     d_margin = window_sum(d_saliency, tau)
     d_logf = d_margin.copy()
-    d_logf[argmin_rows, np.arange(d_margin.shape[1])] -= d_margin.sum(axis=0)
+    d_logf[worst, np.arange(d_margin.shape[1])] -= d_margin.sum(axis=0)
     return d_logf
 
 

@@ -61,14 +61,13 @@ def cmd_train(args):
     cfg = training.TrainConfig(iters=args.iters, lr=args.lr, lr_drop_at=args.lr_drop_at,
                                lr_after=args.lr_after, alpha=args.alpha, beta=args.beta,
                                tau=args.tau, seed=args.seed)
-    hmm_params, mlp, _ = training.train(videos, hmm_params, mlp, cfg,
-                                        start_iter=start_iter, log=print)
-    data.write_checkpoint(args.out, vocab, hmm_params, mlp,
-                          iteration=start_iter + args.iters)
+    hmm_params, mlp, stats = training.train(videos, hmm_params, mlp, cfg,
+                                            start_iter=start_iter, log=print)
+    data.write_checkpoint(args.out, vocab, hmm_params, mlp, iteration=stats.iterations)
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for video in videos:
-            seg, anchors, _, _, _ = training.pseudo_ground_truth(mlp, hmm_params, video, cfg)
+            seg, anchors, _ = training.pseudo_ground_truth(mlp, hmm_params, video, cfg)
             acv.write_acv_dump(os.path.join(args.dump_dir, video.video_id + ".txt"),
                                anchors, seg)
     print("wrote %s" % args.out)

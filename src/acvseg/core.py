@@ -168,10 +168,8 @@ def segmentation_from_labels(labeling):
 
 
 def validate_segmentation(seg, num_frames, action_set):
-    """True iff lengths are positive, tile exactly num_frames, and every
-    label of the action set appears at least once."""
-    if any(l < 1 for l in seg.lengths):
-        return False
+    """True iff the segments (positive lengths by construction) tile exactly
+    num_frames and every label of the action set appears at least once."""
     if seg.num_frames != num_frames:
         return False
     return set(action_set).issubset(set(seg.actions))

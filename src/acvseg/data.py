@@ -187,7 +187,7 @@ class _Reader:
         return _parse_rows(rows, shape, "%s: %r block" % (self.path, name))
 
 
-def write_checkpoint(path, vocab, hmm_params, mlp_params, iteration=0):
+def write_checkpoint(path, vocab, hmm_params, mlp_params, iteration):
     with open(path, "w") as fh:
         fh.write("[META]\n")
         fh.write("iteration %d\n" % iteration)

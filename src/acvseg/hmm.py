@@ -41,8 +41,9 @@ class HmmParams:
     def copy(self):
         return HmmParams(self.transitions.copy(), self.lambdas.copy(), self.priors.copy())
 
-    def check(self, tol=1e-9):
-        """Raise if any structural invariant is violated."""
+    def check(self):
+        """Raise if any structural invariant is violated, up to float round-off."""
+        tol = 1e-9
         if np.any(self.transitions < -tol):
             raise ValueError("negative transition probability")
         if np.any(np.abs(np.diag(self.transitions)) > tol):

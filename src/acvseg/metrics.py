@@ -24,12 +24,8 @@ def segmentation_to_segments(seg):
 
 
 def mof(pred, gt):
-    """Fraction of frames labeled correctly."""
-    pred = label_array(pred)
-    gt = label_array(gt)
-    if pred.shape != gt.shape:
-        raise ValueError("labelings differ in length")
-    return float((pred == gt).mean())
+    """Fraction of frames labeled correctly: corpus_mof of one video."""
+    return corpus_mof([(pred, gt)])
 
 
 def corpus_mof(pairs):

@@ -55,7 +55,7 @@ class MlpParams:
         return MlpParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
 
     @classmethod
-    def init(cls, dim, n_classes, n_hidden=N_HIDDEN, seed=0):
+    def init(cls, dim, n_classes, n_hidden, seed):
         if n_hidden < 1:
             raise ValueError("n_hidden must be >= 1, got %d" % n_hidden)
         rng = fork_rng(seed, "mlp-init")
@@ -198,7 +198,7 @@ def mil_loss_and_grads(params, x, action_set):
     return loss, backward(params, pooled_cache, d_logits)
 
 
-def mil_pretrain(params, corpus, epochs, lr, seed=0):
+def mil_pretrain(params, corpus, epochs, lr, seed):
     """SGD over shuffled videos on the multi-instance objective.
 
     corpus: sequence of (features, action_set) pairs.  Zero epochs returns

@@ -10,7 +10,7 @@ be checkpointed and resumed bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,9 @@ def load_corpus(manifest_path, with_labels=False):
 
 
 def pseudo_ground_truth(mlp_params, hmm_params, video, cfg, scores=None):
-    """Run the anchor pipeline on one video under the current model.
-
-    Returns (segmentation, anchors, saliency, scores, score)."""
+    """Run the anchor pipeline on one video under the current model; `scores`
+    is scorer.forward(mlp_params, video.features) when the caller already
+    has it.  Returns (segmentation, anchors, score)."""
     if scores is None:
         scores = scorer.forward(mlp_params, video.features)
     aset = video.action_set
@@ -83,27 +83,22 @@ def pseudo_ground_truth(mlp_params, hmm_params, video, cfg, scores=None):
     loglik = hmm_mod.log_frame_likelihood(scores.log_softmax[classes],
                                           hmm_params.priors[classes])
     seg, score = acv.constrained_viterbi(graph, loglik, hmm_params)
-    return seg, anchors, sal, scores, score
+    return seg, anchors, score
 
 
-def loss_and_grads(mlp_params, features, action_set, pseudo_labels, tau, beta,
-                   scored=None):
+def loss_and_grads(mlp_params, scored, action_set, pseudo_labels, tau, beta):
     """Cross-entropy on the pseudo labels plus beta times saliency diversity,
-    with gradients for every scorer tensor.  The diversity term reaches the
-    logits through the saliency construction; the per-frame min is handled
-    by a subgradient at the argmin row.  `scored` is the (scores, cache)
-    pair of scorer.forward(mlp_params, features, want_cache=True) when the
-    caller already has it."""
-    if scored is None:
-        scored = scorer.forward(mlp_params, features, want_cache=True)
+    with gradients for every scorer tensor.  `scored` is the (scores, cache)
+    pair of scorer.forward(mlp_params, features, want_cache=True).  The
+    diversity term reaches the logits through the saliency construction;
+    the per-frame min is handled by a subgradient at the worst class."""
     scores, cache = scored
     ce, d_logits = scorer.cross_entropy_loss(scores, pseudo_labels)
     div = 0.0
     if beta != 0.0 and len(action_set) > 1:
         sal = acv.compute_saliency(scores, action_set, tau)
         div, d_sal = scorer.diversity_loss(sal)
-        worst = acv.saliency_argmin(scores, action_set)
-        d_logf = acv.saliency_backward(d_sal, worst, tau)
+        d_logf = acv.saliency_backward(d_sal, scores, action_set, tau)
         rows = action_set.as_array()
         # d log sigmoid(z) / dz = 1 - sigmoid(z)
         d_logits[rows] += beta * d_logf * (1.0 - scores.sigmoid[rows])
@@ -113,8 +108,9 @@ def loss_and_grads(mlp_params, features, action_set, pseudo_labels, tau, beta,
 
 @dataclass
 class TrainStats:
-    iterations: int = 0
-    log_lines: list = field(default_factory=list)
+    """What train reports.  iterations = start_iter + cfg.iters is the count a
+    checkpoint of the result records and a resume starts from."""
+    iterations: int
 
 
 def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
@@ -128,39 +124,36 @@ def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
     mlp_params = mlp_params.copy()
     n_videos = len(videos)
     probe = [v for v in videos if v.gt_labels is not None][:PROBE_SIZE]
-    stats = TrainStats()
     ce_sum, div_sum, since = 0.0, 0.0, 0
     for i in range(start_iter, start_iter + cfg.iters):
         rng = fork_rng(cfg.seed, "train", i)
         video = videos[int(rng.integers(n_videos))]
         # one forward per iteration: the params do not change before the SGD step
         scored = scorer.forward(mlp_params, video.features, want_cache=True)
-        seg, _, _, _, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg,
-                                              scores=scored[0])
+        seg, _, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg,
+                                        scores=scored[0])
         hmm_params = hmm_mod.update_refined(hmm_params, seg, n_videos)
         pseudo = expand_segmentation(seg)
-        _, ce, div, grads = loss_and_grads(mlp_params, video.features, video.action_set,
-                                           pseudo, cfg.tau, cfg.beta, scored=scored)
+        _, ce, div, grads = loss_and_grads(mlp_params, scored, video.action_set,
+                                           pseudo, cfg.tau, cfg.beta)
         mlp_params = scorer.sgd_step(mlp_params, grads, cfg.lr_at(i))
         ce_sum += ce
         div_sum += div
         since += 1
-        stats.iterations = i + 1
         if (i + 1) % cfg.log_every == 0 and log is not None:
             line = "iter %d ce %.4f div %.4f" % (i + 1, ce_sum / since, div_sum / since)
             if probe:
                 line += " anchor_iod %.4f" % probe_anchor_iod(mlp_params, hmm_params, probe, cfg)
-            stats.log_lines.append(line)
             log(line)
             ce_sum, div_sum, since = 0.0, 0.0, 0
-    return hmm_params, mlp_params, stats
+    return hmm_params, mlp_params, TrainStats(start_iter + cfg.iters)
 
 
 def probe_anchor_iod(mlp_params, hmm_params, probe_videos, cfg):
     """Mean anchor IoD against hidden labels on a fixed probe; diagnostic only."""
     values = []
     for video in probe_videos:
-        _, anchors, _, _, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg)
+        _, anchors, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg)
         gt_segs = metrics.labeling_to_segments(video.gt_labels)
         values.append(metrics.anchor_iod(anchors, gt_segs))
     return float(np.mean(values))

@@ -73,15 +73,16 @@ def test_saliency_backward_matches_finite_differences():
     members = ActionSet([0, 1, 2])
     tau = 2
 
+    class S:
+        def __init__(self, logf):
+            self.log_sigmoid = logf
+
     def saliency_of(logf):
-        class S:
-            log_sigmoid = logf
-        return acv.compute_saliency(S(), members, tau=tau)
+        return acv.compute_saliency(S(logf), members, tau=tau)
 
     logf0 = np.log(1.0 / (1.0 + np.exp(-logits)))
     d_s = rng.standard_normal(saliency_of(logf0).shape)
-    argmin = np.argmin(logf0, axis=0)
-    grad = acv.saliency_backward(d_s, argmin, tau)
+    grad = acv.saliency_backward(d_s, S(logf0), members, tau)
     step = 1e-7
     for idx in [(0, 3), (1, 0), (2, 11), (1, 6)]:
         plus = logf0.copy()

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from acvseg import cli, data, infer, training
+from acvseg import acv, cli, data, infer, training
 from acvseg.core import expand_segmentation
 from acvseg.rng import fork_rng
 
@@ -165,6 +165,31 @@ class TestPipeline:
                         "--init", str(init), "--out", str(out),
                         "--iters", "0"]) == 0
         assert out.read_bytes() == init.read_bytes()
+
+    def test_train_dump_dir_writes_the_final_models_anchors_and_cuts(self, pipeline,
+                                                                     tmp_path):
+        _, corpus, _, trained = pipeline
+        manifest = str(corpus / "manifest.txt")
+        out, dumps = tmp_path / "more.ckpt", tmp_path / "dumps"
+        assert run_cli(["train", "--manifest", manifest, "--init", str(trained),
+                        "--out", str(out), "--iters", "5", "--lr", "0.05",
+                        "--tau", "8", "--seed", "0", "--dump-dir", str(dumps)]) == 0
+        _, videos = training.load_corpus(manifest)
+        assert sorted(p.name for p in dumps.iterdir()) \
+            == sorted(v.video_id + ".txt" for v in videos)
+        _, hmm_params, mlp, _ = data.read_checkpoint(str(out))
+        cfg = training.TrainConfig(tau=8)
+        for video in videos:
+            written = (dumps / (video.video_id + ".txt")).read_text()
+            lines = written.splitlines()
+            cut = lines.index("cuts")
+            assert sorted(int(line.split()[0]) for line in lines[1:cut]) \
+                == list(video.action_set)
+            assert int(lines[cut + 1].split()[-1]) == video.features.num_frames - 1
+            seg, anchors, _ = training.pseudo_ground_truth(mlp, hmm_params, video, cfg)
+            expected = tmp_path / "expected.txt"
+            acv.write_acv_dump(str(expected), anchors, seg)
+            assert written == expected.read_text()
 
 
 class TestOracleCheck:

@@ -249,7 +249,7 @@ class TestCheckpoint:
     def test_missing_section_rejected(self, tmp_path):
         vocab, hp, mlp = small_params()
         path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp)
+        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
         text = path.read_text().replace("[MLP]\n", "")
         (tmp_path / "broken.txt").write_text(text)
         with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ class TestCheckpoint:
     def test_shape_mismatch_rejected(self, tmp_path):
         vocab, hp, mlp = small_params()
         path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp)
+        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
         for head in ("transitions 3 4", "transitions 3", "transitions"):
             text = path.read_text().replace("transitions 3 3", head)
             (tmp_path / "broken.txt").write_text(text)
@@ -271,7 +271,7 @@ class TestCheckpoint:
         mlp = scorer.MlpParams(v[:20].reshape(5, 4), v[20:25], v[25:40].reshape(3, 5),
                                v[40:43])
         path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp)
+        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
         _, _, back, _ = data.read_checkpoint(path)
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(back, name).tobytes() == getattr(mlp, name).tobytes()
@@ -283,7 +283,7 @@ class TestCheckpoint:
     def test_malformed_block_row_rejected(self, tmp_path, damage):
         vocab, hp, mlp = small_params()
         path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp)
+        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
         lines = path.read_text().splitlines()
         row = lines.index("lambdas 1 3") + 1
         lines[row] = damage(lines[row])
@@ -294,7 +294,7 @@ class TestCheckpoint:
     def test_truncated_rejected(self, tmp_path):
         vocab, hp, mlp = small_params()
         path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp)
+        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
         lines = path.read_text().splitlines()
         (tmp_path / "broken.txt").write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError):

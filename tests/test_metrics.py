@@ -26,6 +26,13 @@ class TestMof:
         with pytest.raises(ValueError):
             metrics.mof([0, 1], [0, 1, 2])
 
+    def test_equals_the_frame_mean_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for _ in range(2000):
+            t, c = int(rng.integers(1, 3000)), int(rng.integers(1, 8))
+            pred, gt = rng.integers(0, c, size=t), rng.integers(0, c, size=t)
+            assert metrics.mof(pred, gt).hex() == float((pred == gt).mean()).hex()
+
 
 class TestCorpusMof:
     def test_frame_weighted_mean(self):

@@ -287,7 +287,7 @@ class TestMilLossAndGrads:
     def test_peak_allocation_stays_near_one_hidden_layer(self):
         t_total, n_hidden = 1200, scorer.N_HIDDEN
         x = np.random.default_rng(5).standard_normal((t_total, 32))
-        p = scorer.MlpParams.init(32, 7, seed=5)
+        p = scorer.MlpParams.init(32, 7, n_hidden=n_hidden, seed=5)
         aset = ActionSet([0, 2, 5])
         scorer.mil_loss_and_grads(p, x, aset)
         tracemalloc.start()
