@@ -1,6 +1,7 @@
 #!/bin/sh
 # The same pipeline as quickstart.py, driven entirely through the CLI.
-# Every artifact is a plain text file you can inspect along the way.
+# Every artifact stays on disk along the way: the feature matrices are numpy
+# .npy arrays, the manifests, labels and checkpoints plain text you can inspect.
 set -e
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}"/acvseg-cli-XXXXXX)

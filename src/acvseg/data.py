@@ -1,12 +1,13 @@
-"""Plain-text corpus formats and the synthetic corpus generator.
+"""Corpus file formats and the synthetic corpus generator.
 
-Every artifact is line-oriented text: feature matrices with a shape header,
-per-frame label files with one action name per line, tab-separated corpus
-manifests, and sectioned checkpoints.  Floats are written with repr so a
-read-back is bit-exact.  One row parser (numpy's C-level loadtxt) reads
-the float rows of feature files and checkpoint blocks alike; `#` is not a
-comment there but a parse error.  The generator writes hidden frame labels
-to a separate file that the training path never reads.
+A feature matrix is a numpy .npy array, (T, D) float64 (float32 is widened
+exactly on read), read and written through numpy.lib.format without
+pickling.  Every other artifact is line-oriented text: per-frame label
+files with one action name per line, tab-separated corpus manifests, and
+sectioned checkpoints whose floats are written with repr so a read-back is
+bit-exact.  Checkpoint rows are parsed by numpy's C-level loadtxt; `#` is
+not a comment there but a parse error.  The generator writes hidden frame
+labels to a separate file that the training path never reads.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ def _write_rows(fh, arr):
 
 
 def _parse_rows(lines, shape, where):
-    """Parse rows of whitespace-separated floats (blank lines skipped) into a
-    float64 array that must have the header's `shape`."""
-    if not any(line.strip() for line in lines):
+    """Parse a checkpoint block's rows of whitespace-separated floats into a
+    float64 array that must have the block header's `shape`."""
+    if not lines:
         # loadtxt would only warn and return an empty array
         raise ValueError("%s: no rows, header says %s" % (where, shape))
     try:
@@ -46,22 +47,27 @@ def _parse_rows(lines, shape, where):
 # ---------------------------------------------------------------- features
 
 def write_features(path, features):
-    x = features.values if isinstance(features, FrameFeatures) else np.asarray(features, float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features contain non-finite values")
-    with open(path, "w") as fh:
-        fh.write("%d %d\n" % x.shape)
-        _write_rows(fh, x)
+    """Write a (T, D) feature matrix to exactly `path` as a float64 .npy array."""
+    if not isinstance(features, FrameFeatures):
+        features = FrameFeatures(features)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, np.ascontiguousarray(features.values),
+                                  allow_pickle=False)
 
 
 def read_features(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("%s: malformed feature header" % path)
-        shape = (int(header[0]), int(header[1]))
-        lines = fh.readlines()
-    return FrameFeatures(_parse_rows(lines, shape, path))
+    """Read a .npy feature matrix; anything but a finite (T, D) float64 or
+    float32 array with T, D >= 1 is a ValueError that names the file."""
+    with open(path, "rb") as fh:
+        try:
+            x = np.lib.format.read_array(fh, allow_pickle=False)
+            # dtype.type ignores byte order; float32 widens to float64 exactly
+            if x.ndim != 2 or x.dtype.type not in (np.float64, np.float32):
+                raise ValueError("features must be a 2-D float64 or float32 array, found "
+                                 "a %d-D %s array" % (x.ndim, x.dtype))
+            return FrameFeatures(x)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
 
 
 # ------------------------------------------------------------------ labels
@@ -76,14 +82,28 @@ def write_labels(path, labeling, vocab):
 
 
 def read_labels(path, vocab):
+    ids = []
     with open(path) as fh:
-        names = [line.strip() for line in fh if line.strip()]
-    if not names:
+        for number, line in enumerate(fh, 1):
+            name = line.strip()
+            if name:
+                try:
+                    ids.append(vocab.id_of(name))
+                except ValueError as exc:
+                    raise ValueError("%s: line %d: %s" % (path, number, exc)) from None
+    if not ids:
         raise ValueError("%s: empty label file" % path)
-    return FrameLabeling([vocab.id_of(n) for n in names])
+    return FrameLabeling(ids)
 
 
 # ---------------------------------------------------------------- manifest
+
+def _vocabulary(names, path):
+    try:
+        return Vocabulary(names)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+
 
 @dataclass(frozen=True)
 class VideoRecord:
@@ -122,7 +142,7 @@ def read_manifest(path):
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or not lines[0].startswith("vocab\t"):
         raise ValueError("%s: first manifest line must be the vocabulary" % path)
-    vocab = Vocabulary(lines[0].split("\t", 1)[1].split())
+    vocab = _vocabulary(lines[0].split("\t", 1)[1].split(), path)
     records = []
     seen = set()
     for line in lines[1:]:
@@ -135,10 +155,10 @@ def read_manifest(path):
         if vid in seen:
             raise ValueError("%s: duplicate video id %r" % (path, vid))
         seen.add(vid)
-        for n in names:
-            vocab.id_of(n)  # unknown names are an error
-        if not names:
-            raise ValueError("%s: empty action set for %r" % (path, vid))
+        try:
+            ActionSet(vocab.id_of(n) for n in names)
+        except ValueError as exc:  # an unknown, repeated or missing name
+            raise ValueError("%s: video %r: %s" % (path, vid, exc)) from None
         labels = resolve(fields[3]) if len(fields) == 4 else None
         records.append(VideoRecord(vid, resolve(feat), names, labels))
     if not records:
@@ -177,9 +197,10 @@ class _Reader:
         head = self.next().split()
         if head[0] != name:
             raise ValueError("%s: expected %r block, found %r" % (self.path, name, head[0]))
-        shape = tuple(int(v) for v in head[1:])
-        if len(shape) != 2:
-            raise ValueError("%s: %r block needs a 2-D shape" % (self.path, name))
+        if len(head) != 3 or not all(v.isdecimal() for v in head[1:]):
+            raise ValueError("%s: %r block needs a 2-D shape of two counts, found %r"
+                             % (self.path, name, " ".join(head[1:])))
+        shape = (int(head[1]), int(head[2]))
         rows = self.lines[self.pos:self.pos + shape[0]]
         if len(rows) < shape[0]:
             raise ValueError("%s: truncated checkpoint" % self.path)
@@ -217,7 +238,7 @@ def read_checkpoint(path):
     head = r.next().split()
     if head[0] != "vocab":
         raise ValueError("%s: HMM section must begin with the vocabulary" % path)
-    vocab = Vocabulary(head[1:])
+    vocab = _vocabulary(head[1:], path)
     trans = r.matrix("transitions")
     lam = r.matrix("lambdas")[0]
     priors = r.matrix("priors")[0]
@@ -363,11 +384,11 @@ def synth_generate(spec, out_dir):
             + spec.noise * rng.standard_normal((t_total, spec.feature_dim))
 
         vid = "vid%03d" % v
-        write_features(os.path.join(out_dir, "features", vid + ".txt"), x)
+        write_features(os.path.join(out_dir, "features", vid + ".npy"), x)
         write_labels(os.path.join(out_dir, "labels", vid + ".txt"), frame_labels, vocab)
         names = tuple(vocab.name_of(int(c)) for c in chosen)
-        train_records.append(VideoRecord(vid, "features/%s.txt" % vid, names))
-        eval_records.append(VideoRecord(vid, "features/%s.txt" % vid, names,
+        train_records.append(VideoRecord(vid, "features/%s.npy" % vid, names))
+        eval_records.append(VideoRecord(vid, "features/%s.npy" % vid, names,
                                         "labels/%s.txt" % vid))
 
     train_path = os.path.join(out_dir, "manifest.txt")

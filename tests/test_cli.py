@@ -262,7 +262,7 @@ class TestErrorPaths:
         np.maximum(hmm_params.lambdas, 10.0, out=hmm_params.lambdas)
         data.write_checkpoint(str(floored), vocab, hmm_params, mlp, iteration=iteration)
         vocab, records = data.read_manifest(str(corpus / "manifest_eval.txt"))
-        short = tmp_path / "short.txt"
+        short = tmp_path / "short.npy"
         data.write_features(str(short), np.zeros((5, 8)))
         records.append(data.VideoRecord("zshort", str(short), vocab.names[:2], None))
         manifest = tmp_path / "manifest.txt"
@@ -292,6 +292,30 @@ class TestErrorPaths:
         assert captured.err == ("error: %s: video id '../escaped' is not a plain file name\n"
                                 % manifest)
         assert not (tmp_path / "predroot").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "align"])
+    def test_text_feature_file_exits_1_naming_it(self, pipeline, tmp_path, capsys, command):
+        # a feature file in the text format of earlier releases: header, then rows
+        _, corpus, _, trained = pipeline
+        vocab, records = data.read_manifest(str(corpus / "manifest_eval.txt"))
+        x = data.read_features(records[0].features_path).values
+        old = tmp_path / "old.txt"
+        old.write_text("%d %d\n" % x.shape
+                       + "".join(" ".join(map(repr, row)) + "\n" for row in x.tolist()))
+        records[1] = dataclasses.replace(records[1], features_path=str(old))
+        manifest = tmp_path / "manifest.txt"
+        data.write_manifest(str(manifest), vocab, records)
+        out = tmp_path / "out"
+        argv = {"pretrain": ["--epochs", "1"],
+                "align": ["--ckpt", str(trained), "--k", "5"]}[command]
+        capsys.readouterr()
+        assert run_cli([command, "--manifest", str(manifest), "--out", str(out)] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: %s: " % old)
+        assert not out.exists()
+        assert sorted(os.listdir(tmp_path)) == ["manifest.txt", "old.txt"]
 
     def test_vocab_mismatch_exits_1(self, pipeline, tmp_path):
         root, corpus, init, _ = pipeline

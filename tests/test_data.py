@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import re
@@ -12,31 +13,64 @@ from acvseg.core import Segmentation, Vocabulary, validate_segmentation
 from acvseg.data import SynthSpec, VideoRecord
 
 
+def write_npy(path, arr):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, arr, allow_pickle=True)
+
+
+def write_npz(path, arr):
+    with open(path, "wb") as fh:
+        np.savez(fh, x=arr)
+
+
+class MakesDirWhenUnpickled:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def npy_bytes(arr):
+    with io.BytesIO() as buf:
+        np.lib.format.write_array(buf, arr, allow_pickle=False)
+        return buf.getvalue()
+
+
 class TestFeatures:
     def test_minimal_file(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("1 2\n0.5 -1.0\n")
+        path = tmp_path / "x.npy"
+        write_npy(path, np.array([[0.5, -1.0]]))
         feats = data.read_features(path)
         assert feats.values.shape == (1, 2)
         assert feats.values[0, 0] == 0.5 and feats.values[0, 1] == -1.0
+        write_npy(path, np.array([[1.0], [2.0], [3.0]]))
+        np.testing.assert_array_equal(data.read_features(path).values, [[1.0], [2.0], [3.0]])
 
     def test_row_count_mismatch(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("2 1\n0\n")
-        with pytest.raises(ValueError):
+        # the header promises 3 rows, the data holds 2
+        path = tmp_path / "x.npy"
+        path.write_bytes(npy_bytes(np.zeros((3, 4)))[:-4 * 8])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             data.read_features(path)
 
     def test_width_mismatch(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("1 2\n0.5\n")
-        with pytest.raises(ValueError):
+        # the last row stops one value short
+        path = tmp_path / "x.npy"
+        path.write_bytes(npy_bytes(np.zeros((3, 4)))[:-8])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             data.read_features(path)
 
     def test_malformed_header(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("3\n1 2 3\n")
-        with pytest.raises(ValueError):
-            data.read_features(path)
+        good = npy_bytes(np.zeros((2, 3)))
+        shape = b"(2, 3)"
+        assert good.count(shape) == 1
+        for i, spoilt in enumerate([good.replace(shape, b"(2, x)"),
+                                    good.replace(b"'descr'", b"'dtype'"), good[:20]]):
+            path = tmp_path / ("x%d.npy" % i)
+            path.write_bytes(spoilt)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                data.read_features(path)
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -44,60 +78,84 @@ class TestFeatures:
             x = rng.standard_normal((int(rng.integers(1, 30)),
                                      int(rng.integers(1, 10))))
             x *= 10.0 ** rng.integers(-8, 8)
-            path = tmp_path / ("m%d.txt" % trial)
+            path = tmp_path / ("m%d.npy" % trial)
             data.write_features(path, x)
             back = data.read_features(path).values
-            assert np.max(np.abs(back - x)) <= 1e-12
-            assert np.array_equal(back, x)  # repr round-trips exactly
+            assert np.array_equal(back, x)
 
     def test_nonfinite_rejected_at_write(self, tmp_path):
         with pytest.raises(ValueError):
-            data.write_features(tmp_path / "bad.txt", np.array([[np.nan]]))
+            data.write_features(tmp_path / "bad.npy", np.array([[np.nan]]))
+        assert not (tmp_path / "bad.npy").exists()
 
     def test_header_only_rejected_without_warning(self, tmp_path):
-        for i, text in enumerate(["2 2\n", "0 3\n", "2 2\n\n  \n"]):
-            path = tmp_path / ("x%d.txt" % i)
-            path.write_text(text)
+        for i, arr in enumerate([np.zeros((0, 3)), np.zeros((2, 2))]):
+            path = tmp_path / ("x%d.npy" % i)
+            body = npy_bytes(arr)
+            path.write_bytes(body[:len(body) - arr.nbytes])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=re.escape(str(path))):
                     data.read_features(path)
-
-    @pytest.mark.parametrize("body", ["1 2\n3 4 # note\n", "# note\n1 2\n3 4\n", "1,2\n3,4\n",
-                                      "1 2 3\n4\n", "1\n2 3 4\n", "1 2\n3 x\n"],
-                             ids=["trailing-hash", "hash-line", "commas", "ragged-3-1",
-                                  "ragged-1-3", "word"])
-    def test_malformed_rows_rejected(self, tmp_path, body):
-        # '#' is a parse error, not a comment; ragged rows whose total
-        # matches the header are still ragged
-        path = tmp_path / "x.txt"
-        path.write_text("2 2\n" + body)
-        with pytest.raises(ValueError):
-            data.read_features(path)
-
-    def test_single_column_and_blank_lines_load(self, tmp_path):
-        path = tmp_path / "column.txt"
-        path.write_text("3 1\n1\n\n2\n   \n3\n\n")
-        np.testing.assert_array_equal(data.read_features(path).values,
-                                      [[1.0], [2.0], [3.0]])
-        path = tmp_path / "gaps.txt"
-        path.write_text("2 2\n\n1 2\n \t \n3 4\n")
-        np.testing.assert_array_equal(data.read_features(path).values,
-                                      [[1.0, 2.0], [3.0, 4.0]])
 
     def test_edge_values_round_trip_bit_exact(self, tmp_path):
         x = edge_values().reshape(-1, 8)
-        path = tmp_path / "edge.txt"
+        path = tmp_path / "edge.npy"
         data.write_features(path, x)
         assert data.read_features(path).values.tobytes() == x.tobytes()
 
-    def test_written_bytes_equal_repr_per_value(self, tmp_path):
+    def test_float32_is_widened_exactly(self, tmp_path):
+        x32 = (np.random.default_rng(4).standard_normal((7, 5)) * 1e3).astype(np.float32)
+        x32[0, :4] = [np.finfo(np.float32).tiny, np.finfo(np.float32).max, -0.0, 1e-45]
+        for order in ("<", ">"):
+            path = tmp_path / ("x%s.npy" % {"<": "le", ">": "be"}[order])
+            write_npy(path, x32.astype(order + "f4"))
+            back = data.read_features(path).values
+            assert back.dtype == np.float64
+            assert back.tobytes() == x32.astype(np.float64).tobytes()
+
+    def test_written_bytes_equal_write_array(self, tmp_path):
         x = edge_values().reshape(-1, 16)
-        path = tmp_path / "x.txt"
-        data.write_features(path, x)
-        want = "%d %d\n" % x.shape + "".join(
-            " ".join(repr(float(v)) for v in row) + "\n" for row in x)
-        assert path.read_bytes() == want.encode()
+        for i, given in enumerate([x, np.asfortranarray(x), x.tolist()]):
+            path = tmp_path / ("x%d.npy" % i)
+            data.write_features(path, given)
+            assert path.read_bytes() == npy_bytes(x)
+
+    def test_object_array_rejected_without_unpickling(self, tmp_path):
+        path = tmp_path / "x.npy"
+        marker = tmp_path / "unpickled"
+        write_npy(path, np.array([[1.0, MakesDirWhenUnpickled(str(marker))]], dtype=object))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            data.read_features(path)
+        assert not marker.exists()
+        np.load(path, allow_pickle=True)  # the payload does act when unpickled
+        assert marker.is_dir()
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.write_bytes(b""),
+        lambda path: path.write_text("2 2\n1.0 2.0\n3.0 4.0\n"),
+        lambda path: path.write_bytes(npy_bytes(np.zeros((4, 3)))[:-5]),
+        lambda path: write_npz(path, np.zeros((4, 3))),
+        lambda path: write_npy(path, np.zeros(5)),
+        lambda path: write_npy(path, np.zeros((2, 3, 4))),
+        lambda path: write_npy(path, np.zeros((4, 3), dtype=complex)),
+        lambda path: write_npy(path, np.zeros((4, 3), dtype=np.int64)),
+        lambda path: write_npy(path, np.zeros((4, 3), dtype=bool)),
+        lambda path: write_npy(path, np.zeros((4, 3), dtype=np.float16)),
+        lambda path: write_npy(path, np.zeros((0, 3))),
+        lambda path: write_npy(path, np.zeros((4, 0))),
+        lambda path: write_npy(path, np.array([[1.0, np.inf]])),
+    ], ids=["empty", "old-text", "truncated", "npz", "1-d", "3-d", "complex", "int", "bool",
+            "float16", "zero-rows", "zero-columns", "non-finite"])
+    def test_unreadable_file_rejected_naming_the_path(self, tmp_path, make):
+        path = tmp_path / "x.npy"
+        make(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                data.read_features(path)
+        assert str(err.value).startswith("%s: " % path)
+        assert "\n" not in str(err.value)
 
 
 def edge_values(n_random=54, seed=3):
@@ -133,6 +191,13 @@ class TestLabels:
         with pytest.raises(ValueError):
             data.read_labels(path, Vocabulary(["walk", "run"]))
 
+    def test_unknown_name_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("walk\n\nrun\n zz \nwalk\n")
+        with pytest.raises(ValueError) as err:
+            data.read_labels(path, Vocabulary(["walk", "run"]))
+        assert str(err.value) == "%s: line 4: unknown action name 'zz'" % path
+
 
 class TestManifest:
     def make(self, tmp_path, body):
@@ -142,17 +207,17 @@ class TestManifest:
 
     def test_round_trip_and_relative_resolution(self, tmp_path):
         vocab = Vocabulary(["a", "b", "c"])
-        records = [VideoRecord("v1", "features/v1.txt", ("a", "c")),
-                   VideoRecord("v2", "/abs/v2.txt", ("b",), "labels/v2.txt")]
+        records = [VideoRecord("v1", "features/v1.npy", ("a", "c")),
+                   VideoRecord("v2", "/abs/v2.npy", ("b",), "labels/v2.txt")]
         path = tmp_path / "manifest.txt"
         data.write_manifest(path, vocab, records)
         vocab2, back = data.read_manifest(path)
         assert vocab2.names == vocab.names
         assert back[0].video_id == "v1"
-        assert back[0].features_path == str(tmp_path / "features/v1.txt")
+        assert back[0].features_path == str(tmp_path / "features/v1.npy")
         assert back[0].set_names == ("a", "c")
         assert back[0].labels_path is None
-        assert back[1].features_path == "/abs/v2.txt"
+        assert back[1].features_path == "/abs/v2.npy"
         assert back[1].labels_path == str(tmp_path / "labels/v2.txt")
 
     def test_write_requires_records(self, tmp_path):
@@ -160,7 +225,7 @@ class TestManifest:
             data.write_manifest(tmp_path / "m.txt", Vocabulary(["a"]), [])
 
     def test_vocab_line_required(self, tmp_path):
-        path = self.make(tmp_path, "v1\tfeat.txt\ta\n")
+        path = self.make(tmp_path, "v1\tfeat.npy\ta\n")
         with pytest.raises(ValueError):
             data.read_manifest(path)
 
@@ -170,23 +235,35 @@ class TestManifest:
             data.read_manifest(path)
 
     def test_unknown_set_name_rejected(self, tmp_path):
-        path = self.make(tmp_path, "vocab\ta b\nv1\tfeat.txt\ta z\n")
+        path = self.make(tmp_path, "vocab\ta b\nv1\tfeat.npy\ta z\n")
         with pytest.raises(ValueError):
             data.read_manifest(path)
 
     def test_duplicate_video_id_rejected(self, tmp_path):
         path = self.make(tmp_path,
-                         "vocab\ta b\nv1\tf1.txt\ta\nv1\tf2.txt\tb\n")
+                         "vocab\ta b\nv1\tf1.npy\ta\nv1\tf2.npy\tb\n")
         with pytest.raises(ValueError):
             data.read_manifest(path)
 
     def test_malformed_record_rejected(self, tmp_path):
-        path = self.make(tmp_path, "vocab\ta b\nv1\tfeat.txt\n")
+        path = self.make(tmp_path, "vocab\ta b\nv1\tfeat.npy\n")
         with pytest.raises(ValueError):
             data.read_manifest(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ("vocab\t\nv1\tfeat.npy\ta\n", "vocabulary is empty"),
+        ("vocab\ta b a\nv1\tfeat.npy\ta\n", "duplicate names in vocabulary"),
+        ("vocab\ta b\nv1\tfeat.npy\ta z\n", "video 'v1': unknown action name 'z'"),
+        ("vocab\ta b\nv1\tfeat.npy\ta b a\n", "video 'v1': duplicate labels in action set"),
+    ], ids=["empty-vocab", "duplicate-vocab", "unknown-name", "repeated-name"])
+    def test_vocabulary_and_set_errors_name_the_file(self, tmp_path, body, message):
+        path = self.make(tmp_path, body)
+        with pytest.raises(ValueError) as err:
+            data.read_manifest(path)
+        assert str(err.value) == "%s: %s" % (path, message)
+
     def test_empty_action_set_rejected(self, tmp_path):
-        path = self.make(tmp_path, "vocab\ta b\nv1\tfeat.txt\t\n")
+        path = self.make(tmp_path, "vocab\ta b\nv1\tfeat.npy\t\n")
         with pytest.raises(ValueError):
             data.read_manifest(path)
 
@@ -194,14 +271,14 @@ class TestManifest:
                                      "sub" + os.sep + "v1"],
                              ids=["empty", "dot", "dot-dot", "parent-path", "slash", "os-sep"])
     def test_video_id_that_is_not_a_file_name_rejected(self, tmp_path, vid):
-        path = self.make(tmp_path, "vocab\ta b\n%s\tfeat.txt\ta\n" % vid)
+        path = self.make(tmp_path, "vocab\ta b\n%s\tfeat.npy\ta\n" % vid)
         with pytest.raises(ValueError, match=re.escape(
                 "%s: video id %r is not a plain file name" % (path, vid))):
             data.read_manifest(path)
 
     def test_video_id_with_alternative_separator_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "altsep", "\\")
-        path = self.make(tmp_path, "vocab\ta b\nsub\\v1\tfeat.txt\ta\n")
+        path = self.make(tmp_path, "vocab\ta b\nsub\\v1\tfeat.npy\ta\n")
         with pytest.raises(ValueError, match="is not a plain file name"):
             data.read_manifest(path)
 
@@ -264,6 +341,32 @@ class TestCheckpoint:
             (tmp_path / "broken.txt").write_text(text)
             with pytest.raises(ValueError):
                 data.read_checkpoint(tmp_path / "broken.txt")
+
+    @pytest.mark.parametrize("head", ["W1 5 x", "W1 -1 4", "W1 5 4.0", "W1 5 4 1", "W1 5"],
+                             ids=["word", "negative", "float", "three-dims", "one-dim"])
+    def test_bad_block_shape_is_one_message_naming_the_file(self, tmp_path, head):
+        vocab, hp, mlp = small_params()
+        path = tmp_path / "ckpt.txt"
+        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
+        text = path.read_text()
+        assert text.count("W1 5 4\n") == 1
+        (tmp_path / "broken.txt").write_text(text.replace("W1 5 4\n", head + "\n"))
+        with pytest.raises(ValueError) as err:
+            data.read_checkpoint(tmp_path / "broken.txt")
+        assert str(err.value) == ("%s: 'W1' block needs a 2-D shape of two counts, found %r"
+                                  % (tmp_path / "broken.txt", head[3:]))
+
+    def test_bad_vocabulary_names_the_file(self, tmp_path):
+        vocab, hp, mlp = small_params()
+        path = tmp_path / "ckpt.txt"
+        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
+        for names, message in (("", "vocabulary is empty"),
+                               (" a b a", "duplicate names in vocabulary")):
+            broken = tmp_path / "broken.txt"
+            broken.write_text(path.read_text().replace("vocab a b c\n", "vocab%s\n" % names))
+            with pytest.raises(ValueError) as err:
+                data.read_checkpoint(broken)
+            assert str(err.value) == "%s: %s" % (broken, message)
 
     def test_edge_values_round_trip_bit_exact(self, tmp_path):
         vocab, hp, _ = small_params()
@@ -349,6 +452,17 @@ class TestSynthGenerate:
             seg = Segmentation([r[0] for r in runs], [r[1] for r in runs])
             assert validate_segmentation(seg, feats.num_frames, members)
         assert n_full == 10
+
+    def test_both_manifests_name_npy_features(self, tmp_path):
+        spec = SynthSpec(n_classes=3, n_videos=3, frames_range=(20, 30),
+                         feature_dim=4, seed=1)
+        for manifest in data.synth_generate(spec, tmp_path):
+            _, records = data.read_manifest(manifest)
+            assert [rec.features_path for rec in records] == [
+                str(tmp_path / "features" / ("vid%03d.npy" % v)) for v in range(3)]
+            assert "\tfeatures/vid000.npy\t" in open(manifest).read()
+        assert sorted(os.listdir(tmp_path / "features")) == [
+            "vid000.npy", "vid001.npy", "vid002.npy"]
 
     def test_train_manifest_hides_labels(self, tmp_path):
         spec = SynthSpec(n_classes=3, n_videos=3, frames_range=(20, 30),

@@ -1,5 +1,6 @@
 """Every artifact of a CLI run is the same at one and at two BLAS threads."""
 
+import fnmatch
 import json
 import os
 import subprocess
@@ -44,4 +45,6 @@ def test_outputs_do_not_depend_on_the_thread_count(tmp_path):
     one = run_steps(tmp_path / "one", 1)
     assert {"init.ckpt", "model.ckpt"} <= set(one[1])
     assert sum(name.startswith("pred") for name in one[1]) == 6
+    # the binary feature files are compared byte for byte too
+    assert sum(fnmatch.fnmatch(name, "train/features/*.npy") for name in one[1]) == 16
     assert one == run_steps(tmp_path / "two", 2)

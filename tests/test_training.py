@@ -53,19 +53,19 @@ class TestLoadCorpus:
 
     def test_feature_dim_mismatch_rejected(self, tmp_path):
         vocab = data.Vocabulary(["a", "b"])
-        data.write_features(tmp_path / "v0.txt", np.zeros((4, 3)))
-        data.write_features(tmp_path / "v1.txt", np.zeros((4, 2)))
-        records = [data.VideoRecord("v0", "v0.txt", ("a",)),
-                   data.VideoRecord("v1", "v1.txt", ("b",))]
+        data.write_features(tmp_path / "v0.npy", np.zeros((4, 3)))
+        data.write_features(tmp_path / "v1.npy", np.zeros((4, 2)))
+        records = [data.VideoRecord("v0", "v0.npy", ("a",)),
+                   data.VideoRecord("v1", "v1.npy", ("b",))]
         data.write_manifest(tmp_path / "m.txt", vocab, records)
         with pytest.raises(ValueError):
             training.load_corpus(tmp_path / "m.txt")
 
     def test_label_length_mismatch_rejected(self, tmp_path):
         vocab = data.Vocabulary(["a"])
-        data.write_features(tmp_path / "v0.txt", np.zeros((4, 2)))
+        data.write_features(tmp_path / "v0.npy", np.zeros((4, 2)))
         data.write_labels(tmp_path / "l0.txt", [0, 0, 0], vocab)
-        records = [data.VideoRecord("v0", "v0.txt", ("a",), "l0.txt")]
+        records = [data.VideoRecord("v0", "v0.npy", ("a",), "l0.txt")]
         data.write_manifest(tmp_path / "m.txt", vocab, records)
         with pytest.raises(ValueError):
             training.load_corpus(tmp_path / "m.txt", with_labels=True)
