@@ -1,7 +1,8 @@
 #!/bin/sh
 # The same pipeline as quickstart.py, driven entirely through the CLI.
-# Every artifact stays on disk along the way: the feature matrices are numpy
-# .npy arrays, the manifests, labels and checkpoints plain text you can inspect.
+# Every artifact stays on disk along the way: the feature matrices and the
+# checkpoints are numpy .npy data, the manifests and labels plain text you
+# can inspect.
 set -e
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}"/acvseg-cli-XXXXXX)

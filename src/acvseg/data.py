@@ -1,13 +1,14 @@
 """Corpus file formats and the synthetic corpus generator.
 
-A feature matrix is a numpy .npy array, (T, D) float64 (float32 is widened
-exactly on read), read and written through numpy.lib.format without
-pickling.  Every other artifact is line-oriented text: per-frame label
-files with one action name per line, tab-separated corpus manifests, and
-sectioned checkpoints whose floats are written with repr so a read-back is
-bit-exact.  Checkpoint rows are parsed by numpy's C-level loadtxt; `#` is
-not a comment there but a parse error.  The generator writes hidden frame
-labels to a separate file that the training path never reads.
+Features and checkpoints are numpy .npy data, read and written through
+numpy.lib.format without pickling, so a read-back is bit-exact.  A feature
+file is one (T, D) float64 array (float32 is widened exactly on read); a
+checkpoint is nine consecutive records, the iteration, the vocabulary and
+the HMM and MLP tables.  Labels, manifests and predictions are
+line-oriented text: per-frame label files with one action name per line
+and tab-separated corpus manifests.  A file that cannot be read is a
+ValueError that names it.  The generator writes hidden frame labels to a
+separate file that the training path never reads.
 """
 
 from __future__ import annotations
@@ -25,23 +26,16 @@ from .rng import fork_rng
 from .scorer import MlpParams
 
 
-def _write_rows(fh, arr):
-    fh.writelines(" ".join(map(repr, row)) + "\n" for row in arr.tolist())
-
-
-def _parse_rows(lines, shape, where):
-    """Parse a checkpoint block's rows of whitespace-separated floats into a
-    float64 array that must have the block header's `shape`."""
-    if not lines:
-        # loadtxt would only warn and return an empty array
-        raise ValueError("%s: no rows, header says %s" % (where, shape))
-    try:
-        arr = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (where, exc)) from None
-    if arr.shape != shape:
-        raise ValueError("%s: got shape %s, header says %s" % (where, arr.shape, shape))
-    return arr
+def _read_array(fh, what, ndim, dtypes):
+    """Read the next .npy record from `fh` without unpickling; anything but an
+    `ndim`-D array of one of `dtypes` is a ValueError."""
+    x = np.lib.format.read_array(fh, allow_pickle=False)
+    # dtype.type ignores byte order
+    if x.ndim != ndim or x.dtype.type not in dtypes:
+        raise ValueError("%s must be a %d-D %s array, found a %d-D %s array"
+                         % (what, ndim, " or ".join(np.dtype(t).name for t in dtypes),
+                            x.ndim, x.dtype))
+    return x
 
 
 # ---------------------------------------------------------------- features
@@ -60,12 +54,8 @@ def read_features(path):
     float32 array with T, D >= 1 is a ValueError that names the file."""
     with open(path, "rb") as fh:
         try:
-            x = np.lib.format.read_array(fh, allow_pickle=False)
-            # dtype.type ignores byte order; float32 widens to float64 exactly
-            if x.ndim != 2 or x.dtype.type not in (np.float64, np.float32):
-                raise ValueError("features must be a 2-D float64 or float32 array, found "
-                                 "a %d-D %s array" % (x.ndim, x.dtype))
-            return FrameFeatures(x)
+            # float32 widens to float64 exactly
+            return FrameFeatures(_read_array(fh, "features", 2, (np.float64, np.float32)))
         except ValueError as exc:
             raise ValueError("%s: %s" % (path, exc)) from None
 
@@ -97,13 +87,6 @@ def read_labels(path, vocab):
 
 
 # ---------------------------------------------------------------- manifest
-
-def _vocabulary(names, path):
-    try:
-        return Vocabulary(names)
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (path, exc)) from None
-
 
 @dataclass(frozen=True)
 class VideoRecord:
@@ -142,7 +125,10 @@ def read_manifest(path):
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines or not lines[0].startswith("vocab\t"):
         raise ValueError("%s: first manifest line must be the vocabulary" % path)
-    vocab = _vocabulary(lines[0].split("\t", 1)[1].split(), path)
+    try:
+        vocab = Vocabulary(lines[0].split("\t", 1)[1].split())
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     records = []
     seen = set()
     for line in lines[1:]:
@@ -168,86 +154,41 @@ def read_manifest(path):
 
 # -------------------------------------------------------------- checkpoint
 
-def _write_matrix(fh, name, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    fh.write(name + " " + " ".join(str(d) for d in arr.shape) + "\n")
-    _write_rows(fh, arr)
-
-
-class _Reader:
-    def __init__(self, path):
-        with open(path) as fh:
-            self.lines = [line.rstrip("\n") for line in fh if line.strip()]
-        self.pos = 0
-        self.path = path
-
-    def next(self):
-        if self.pos >= len(self.lines):
-            raise ValueError("%s: truncated checkpoint" % self.path)
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, token):
-        line = self.next()
-        if line != token:
-            raise ValueError("%s: expected %r, found %r" % (self.path, token, line))
-
-    def matrix(self, name):
-        head = self.next().split()
-        if head[0] != name:
-            raise ValueError("%s: expected %r block, found %r" % (self.path, name, head[0]))
-        if len(head) != 3 or not all(v.isdecimal() for v in head[1:]):
-            raise ValueError("%s: %r block needs a 2-D shape of two counts, found %r"
-                             % (self.path, name, " ".join(head[1:])))
-        shape = (int(head[1]), int(head[2]))
-        rows = self.lines[self.pos:self.pos + shape[0]]
-        if len(rows) < shape[0]:
-            raise ValueError("%s: truncated checkpoint" % self.path)
-        self.pos += len(rows)
-        return _parse_rows(rows, shape, "%s: %r block" % (self.path, name))
+# the float64 tables after the iteration and vocab records, in file order
+_HMM_RECORDS = (("transitions", 2), ("lambdas", 1), ("priors", 1))
+_MLP_RECORDS = (("W1", 2), ("b1", 1), ("W2", 2), ("b2", 1))
 
 
 def write_checkpoint(path, vocab, hmm_params, mlp_params, iteration):
-    with open(path, "w") as fh:
-        fh.write("[META]\n")
-        fh.write("iteration %d\n" % iteration)
-        fh.write("[HMM]\n")
-        fh.write("vocab " + " ".join(vocab.names) + "\n")
-        _write_matrix(fh, "transitions", hmm_params.transitions)
-        _write_matrix(fh, "lambdas", hmm_params.lambdas)
-        _write_matrix(fh, "priors", hmm_params.priors)
-        fh.write("[MLP]\n")
-        _write_matrix(fh, "W1", mlp_params.W1)
-        _write_matrix(fh, "b1", mlp_params.b1)
-        _write_matrix(fh, "W2", mlp_params.W2)
-        _write_matrix(fh, "b2", mlp_params.b2)
+    """Write the model to exactly `path` as consecutive .npy records: the
+    0-d int64 iteration, the 1-D unicode vocab, then _HMM_RECORDS and
+    _MLP_RECORDS."""
+    records = [np.array(iteration, dtype=np.int64), np.array(vocab.names)]
+    records += [getattr(hmm_params, name) for name, _ in _HMM_RECORDS]
+    records += [getattr(mlp_params, name) for name, _ in _MLP_RECORDS]
+    with open(path, "wb") as fh:
+        for x in records:
+            np.lib.format.write_array(fh, x, allow_pickle=False)
 
 
 def read_checkpoint(path):
-    """Returns (vocab, HmmParams, MlpParams, iteration)."""
-    r = _Reader(path)
-    r.expect("[META]")
-    line = r.next()
-    fields = line.split()
-    if len(fields) != 2 or fields[0] != "iteration" or not fields[1].isdecimal():
-        raise ValueError("%s: META section must be one line 'iteration <count>', found %r"
-                         % (path, line))
-    iteration = int(fields[1])
-    r.expect("[HMM]")
-    head = r.next().split()
-    if head[0] != "vocab":
-        raise ValueError("%s: HMM section must begin with the vocabulary" % path)
-    vocab = _vocabulary(head[1:], path)
-    trans = r.matrix("transitions")
-    lam = r.matrix("lambdas")[0]
-    priors = r.matrix("priors")[0]
-    r.expect("[MLP]")
-    w1 = r.matrix("W1")
-    b1 = r.matrix("b1")[0]
-    w2 = r.matrix("W2")
-    b2 = r.matrix("b2")[0]
-    return vocab, HmmParams(trans, lam, priors), MlpParams(w1, b1, w2, b2), iteration
+    """Returns (vocab, HmmParams, MlpParams, iteration).  A missing, extra or
+    malformed record is a ValueError that names the file."""
+    with open(path, "rb") as fh:
+        try:
+            iteration = int(_read_array(fh, "iteration", 0, (np.int64,)))
+            if iteration < 0:
+                raise ValueError("iteration must be >= 0, found %d" % iteration)
+            vocab = Vocabulary(_read_array(fh, "vocab", 1, (np.str_,)).tolist())
+            hmm_params = HmmParams(*(_read_array(fh, name, ndim, (np.float64,))
+                                     for name, ndim in _HMM_RECORDS))
+            mlp_params = MlpParams(*(_read_array(fh, name, ndim, (np.float64,))
+                                     for name, ndim in _MLP_RECORDS))
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last record")
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+    return vocab, hmm_params, mlp_params, iteration
 
 
 # --------------------------------------------------------------- generator

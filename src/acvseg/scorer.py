@@ -68,15 +68,12 @@ class MlpParams:
 class FrameScores:
     """Per-frame class scores, all (n_classes, T).
 
-    softmax columns sum to 1; sigmoid and softmax are two readings of the
-    same logits.  log_sigmoid and log_softmax are computed stably and are
-    the forms consumed downstream.
+    log_sigmoid and log_softmax are two readings of the same logits,
+    computed stably; they are the forms consumed downstream.
     """
 
     logits: np.ndarray
-    sigmoid: np.ndarray
     log_sigmoid: np.ndarray
-    softmax: np.ndarray
     log_softmax: np.ndarray
 
 
@@ -103,7 +100,7 @@ def forward(params, x, want_cache=False):
     x, h, logits = _hidden_and_logits(params, x)
     log_sig = -np.logaddexp(0.0, -logits)
     log_soft = logits - logsumexp(logits, axis=0, keepdims=True)
-    scores = FrameScores(logits, expit(logits), log_sig, np.exp(log_soft), log_soft)
+    scores = FrameScores(logits, log_sig, log_soft)
     if want_cache:
         return scores, ForwardCache(x, h)
     return scores
@@ -120,6 +117,13 @@ def backward(params, cache, d_logits):
     return {"W1": d_w1, "b1": d_b1, "W2": d_w2, "b2": d_b2}
 
 
+def _binary_cross_entropy(p, y):
+    """Per-element -(y log p + (1 - y) log(1 - p)) with p clipped to
+    [EPS, 1 - EPS]; returns (terms, clipped p)."""
+    pc = np.clip(p, EPS, 1.0 - EPS)
+    return -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)), pc
+
+
 def cross_entropy_loss(scores, pseudo_labels):
     """Frame-averaged one-vs-rest cross-entropy on the softmax posteriors.
 
@@ -127,7 +131,7 @@ def cross_entropy_loss(scores, pseudo_labels):
     log p, all others through log(1 - p).  Returns (loss, d_logits).
     """
     labels = np.asarray(label_array(pseudo_labels), dtype=np.int64)
-    p = scores.softmax
+    p = np.exp(scores.log_softmax)
     n_classes, t_total = p.shape
     if labels.shape != (t_total,):
         raise ValueError("need one pseudo-label per frame")
@@ -135,8 +139,8 @@ def cross_entropy_loss(scores, pseudo_labels):
         raise ValueError("pseudo-label out of range")
     y = np.zeros_like(p)
     y[labels, np.arange(t_total)] = 1.0
-    pc = np.clip(p, EPS, 1.0 - EPS)
-    loss = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum() / t_total
+    terms, pc = _binary_cross_entropy(p, y)
+    loss = terms.sum() / t_total
     d_p = -(y / pc - (1.0 - y) / (1.0 - pc)) / t_total
     d_logits = p * (d_p - (d_p * p).sum(axis=0, keepdims=True))
     return float(loss), d_logits
@@ -189,8 +193,7 @@ def mil_loss_and_grads(params, x, action_set):
     pooled = f[np.arange(n_classes), best_t]
     y = np.zeros(n_classes)
     y[list(action_set)] = 1.0
-    pc = np.clip(pooled, EPS, 1.0 - EPS)
-    loss = float(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).mean())
+    loss = float(_binary_cross_entropy(pooled, y)[0].mean())
     frames, col = np.unique(best_t, return_inverse=True)
     d_logits = np.zeros((n_classes, frames.shape[0]))
     d_logits[np.arange(n_classes), col] = (pooled - y) / n_classes

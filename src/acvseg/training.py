@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import acv, hmm as hmm_mod, metrics, scorer
 from .core import expand_segmentation
-from .data import read_features, read_labels
+from .data import read_features, read_labels, read_manifest
 from .rng import fork_rng
 
 # labelled videos whose anchor IoD is logged with each training progress line
@@ -50,7 +51,6 @@ class Video:
 def load_corpus(manifest_path, with_labels=False):
     """Materialize a manifest: (vocab, videos).  Frame labels are attached
     only on request and feed the progress probe, not the learner."""
-    from .data import read_manifest
     vocab, records = read_manifest(manifest_path)
     videos = []
     dim = None
@@ -101,7 +101,7 @@ def loss_and_grads(mlp_params, scored, action_set, pseudo_labels, tau, beta):
         d_logf = acv.saliency_backward(d_sal, scores, action_set, tau)
         rows = action_set.as_array()
         # d log sigmoid(z) / dz = 1 - sigmoid(z)
-        d_logits[rows] += beta * d_logf * (1.0 - scores.sigmoid[rows])
+        d_logits[rows] += beta * d_logf * (1.0 - expit(scores.logits[rows]))
     grads = scorer.backward(mlp_params, cache, d_logits)
     return ce + beta * div, ce, div, grads
 

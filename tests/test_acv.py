@@ -8,8 +8,7 @@ from acvseg.rng import fork_rng
 
 class FakeScores:
     def __init__(self, sigmoid):
-        self.sigmoid = np.asarray(sigmoid, dtype=np.float64)
-        self.log_sigmoid = np.log(self.sigmoid)
+        self.log_sigmoid = np.log(np.asarray(sigmoid, dtype=np.float64))
 
 
 def naive_saliency(log_sigmoid, members, tau):

@@ -18,9 +18,10 @@ def write_npy(path, arr):
         np.lib.format.write_array(fh, arr, allow_pickle=True)
 
 
-def write_npz(path, arr):
-    with open(path, "wb") as fh:
-        np.savez(fh, x=arr)
+def npz_bytes(*arrays):
+    with io.BytesIO() as buf:
+        np.savez(buf, *arrays)
+        return buf.getvalue()
 
 
 class MakesDirWhenUnpickled:
@@ -135,7 +136,7 @@ class TestFeatures:
         lambda path: path.write_bytes(b""),
         lambda path: path.write_text("2 2\n1.0 2.0\n3.0 4.0\n"),
         lambda path: path.write_bytes(npy_bytes(np.zeros((4, 3)))[:-5]),
-        lambda path: write_npz(path, np.zeros((4, 3))),
+        lambda path: path.write_bytes(npz_bytes(np.zeros((4, 3)))),
         lambda path: write_npy(path, np.zeros(5)),
         lambda path: write_npy(path, np.zeros((2, 3, 4))),
         lambda path: write_npy(path, np.zeros((4, 3), dtype=complex)),
@@ -307,67 +308,6 @@ class TestCheckpoint:
         for name in ("W1", "b1", "W2", "b2"):
             assert np.array_equal(getattr(mlp2, name), getattr(mlp, name))
 
-    @pytest.mark.parametrize("meta", [None, "iteration", "iteration 7 9", "iteration seven",
-                                      "iteration 7.0", "step 7", "iteration -5"],
-                             ids=["absent", "no-value", "two-values", "word", "float",
-                                  "other-key", "negative"])
-    def test_malformed_meta_rejected(self, tmp_path, meta):
-        vocab, hp, mlp = small_params()
-        path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp, iteration=5)
-        lines = path.read_text().splitlines()
-        assert lines[:2] == ["[META]", "iteration 5"]
-        lines[:2] = [] if meta is None else ["[META]", meta]
-        broken = tmp_path / "broken.txt"
-        broken.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="broken.txt"):
-            data.read_checkpoint(broken)
-
-    def test_missing_section_rejected(self, tmp_path):
-        vocab, hp, mlp = small_params()
-        path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
-        text = path.read_text().replace("[MLP]\n", "")
-        (tmp_path / "broken.txt").write_text(text)
-        with pytest.raises(ValueError):
-            data.read_checkpoint(tmp_path / "broken.txt")
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        vocab, hp, mlp = small_params()
-        path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
-        for head in ("transitions 3 4", "transitions 3", "transitions"):
-            text = path.read_text().replace("transitions 3 3", head)
-            (tmp_path / "broken.txt").write_text(text)
-            with pytest.raises(ValueError):
-                data.read_checkpoint(tmp_path / "broken.txt")
-
-    @pytest.mark.parametrize("head", ["W1 5 x", "W1 -1 4", "W1 5 4.0", "W1 5 4 1", "W1 5"],
-                             ids=["word", "negative", "float", "three-dims", "one-dim"])
-    def test_bad_block_shape_is_one_message_naming_the_file(self, tmp_path, head):
-        vocab, hp, mlp = small_params()
-        path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
-        text = path.read_text()
-        assert text.count("W1 5 4\n") == 1
-        (tmp_path / "broken.txt").write_text(text.replace("W1 5 4\n", head + "\n"))
-        with pytest.raises(ValueError) as err:
-            data.read_checkpoint(tmp_path / "broken.txt")
-        assert str(err.value) == ("%s: 'W1' block needs a 2-D shape of two counts, found %r"
-                                  % (tmp_path / "broken.txt", head[3:]))
-
-    def test_bad_vocabulary_names_the_file(self, tmp_path):
-        vocab, hp, mlp = small_params()
-        path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
-        for names, message in (("", "vocabulary is empty"),
-                               (" a b a", "duplicate names in vocabulary")):
-            broken = tmp_path / "broken.txt"
-            broken.write_text(path.read_text().replace("vocab a b c\n", "vocab%s\n" % names))
-            with pytest.raises(ValueError) as err:
-                data.read_checkpoint(broken)
-            assert str(err.value) == "%s: %s" % (broken, message)
-
     def test_edge_values_round_trip_bit_exact(self, tmp_path):
         vocab, hp, _ = small_params()
         v = edge_values()
@@ -379,29 +319,58 @@ class TestCheckpoint:
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(back, name).tobytes() == getattr(mlp, name).tobytes()
 
-    @pytest.mark.parametrize("damage", [lambda row: row + " # note",
-                                        lambda row: row.replace(" ", ","),
-                                        lambda row: row.rsplit(" ", 1)[0]],
-                             ids=["comment", "commas", "short"])
-    def test_malformed_block_row_rejected(self, tmp_path, damage):
+    def test_same_inputs_write_identical_bytes(self, tmp_path):
         vocab, hp, mlp = small_params()
-        path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
-        lines = path.read_text().splitlines()
-        row = lines.index("lambdas 1 3") + 1
-        lines[row] = damage(lines[row])
-        (tmp_path / "broken.txt").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            data.read_checkpoint(tmp_path / "broken.txt")
+        for name in ("a.ckpt", "b.ckpt"):
+            data.write_checkpoint(tmp_path / name, vocab, hp, mlp, iteration=3)
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert (tmp_path / "a.ckpt").read_bytes() == b"".join(
+            npy_bytes(x) for x in checkpoint_records(iteration=np.array(3)))
 
-    def test_truncated_rejected(self, tmp_path):
-        vocab, hp, mlp = small_params()
-        path = tmp_path / "ckpt.txt"
-        data.write_checkpoint(path, vocab, hp, mlp, iteration=0)
-        lines = path.read_text().splitlines()
-        (tmp_path / "broken.txt").write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ValueError):
-            data.read_checkpoint(tmp_path / "broken.txt")
+    def test_object_array_rejected_without_unpickling(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        marker = tmp_path / "unpickled"
+        payload = np.array([[1.0, MakesDirWhenUnpickled(str(marker))]], dtype=object)
+        with open(path, "wb") as fh:
+            for x in checkpoint_records(W1=payload):
+                np.lib.format.write_array(fh, x, allow_pickle=True)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            data.read_checkpoint(path)
+        assert not marker.exists()
+        with open(path, "rb") as fh:  # the payload does act when unpickled
+            for _ in range(6):
+                np.lib.format.read_array(fh, allow_pickle=True)
+        assert marker.is_dir()
+
+    @pytest.mark.parametrize("make", [
+        lambda: b"",
+        lambda: b"[META]\niteration 5\n[HMM]\nvocab a b c\ntransitions 3 3\n",
+        lambda: checkpoint_bytes()[:len(npy_bytes(np.array(0))) + 20],
+        lambda: checkpoint_bytes()[:-5],
+        lambda: checkpoint_bytes() + b"\0",
+        lambda: npz_bytes(*checkpoint_records()),
+        lambda: npy_bytes(np.zeros((4, 3))),
+        lambda: checkpoint_bytes(iteration=np.array(5.0)),
+        lambda: checkpoint_bytes(iteration=np.array(-5)),
+        lambda: checkpoint_bytes(transitions=small_params()[1].transitions.astype(np.float32)),
+        lambda: checkpoint_bytes(W1=small_params()[2].W1.ravel()),
+        lambda: checkpoint_bytes(transitions=small_params()[1].transitions[:, :2]),
+        lambda: checkpoint_bytes(vocab=np.array([], dtype=str)),
+        lambda: checkpoint_bytes(vocab=np.array(["a", "b", "a"])),
+        lambda: b"".join(npy_bytes(x) for x in checkpoint_records()[:-1]),
+    ], ids=["empty", "old-text", "truncated-header", "truncated-data", "trailing-bytes", "npz",
+            "features-npy", "float-iteration", "negative-iteration", "float32-table", "1-d-W1",
+            "inconsistent-transitions", "empty-vocabulary", "duplicate-vocabulary",
+            "missing-last-record"])
+    def test_unreadable_checkpoint_rejected_naming_the_path(self, tmp_path, make):
+        path = tmp_path / "x.ckpt"
+        path.write_bytes(make())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                data.read_checkpoint(path)
+        assert str(err.value).startswith("%s: " % path)
+        assert "\n" not in str(err.value)
 
 
 def corpus_bytes(root):
@@ -565,3 +534,18 @@ class TestSynthGenerate:
         with pytest.raises(ValueError, match=re.escape(message)) as err:
             data.read_synth_spec(path)
         assert str(err.value).startswith(str(path))
+
+
+def checkpoint_records(**replace):
+    """small_params() as the checkpoint's records in file order, with any
+    record replaced by name."""
+    vocab, hp, mlp = small_params()
+    records = {"iteration": np.array(0), "vocab": np.array(vocab.names),
+               "transitions": hp.transitions, "lambdas": hp.lambdas, "priors": hp.priors,
+               "W1": mlp.W1, "b1": mlp.b1, "W2": mlp.W2, "b2": mlp.b2}
+    records.update(replace)
+    return list(records.values())
+
+
+def checkpoint_bytes(**replace):
+    return b"".join(npy_bytes(x) for x in checkpoint_records(**replace))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from acvseg import scorer
 from acvseg.core import ActionSet, FrameFeatures, FrameLabeling
@@ -32,7 +33,7 @@ class TestForward:
     def test_all_zero_params_give_coin_flip_scores(self):
         x = FrameFeatures(np.random.default_rng(0).random((5, 3)))
         out = scorer.forward(zero_params(), x)
-        np.testing.assert_allclose(out.sigmoid, 0.5, atol=1e-12)
+        np.testing.assert_allclose(expit(out.logits), 0.5, atol=1e-12)
         np.testing.assert_allclose(np.exp(out.log_softmax), 0.5, atol=1e-12)
 
     def test_shared_bias_shift_changes_sigmoid_not_softmax(self):
@@ -43,7 +44,7 @@ class TestForward:
         shifted = p.copy()
         shifted.b2 += 1.5
         out = scorer.forward(shifted, x)
-        assert np.all(np.abs(out.sigmoid - base.sigmoid) > 1e-6)
+        assert np.all(np.abs(expit(out.logits) - expit(base.logits)) > 1e-6)
         np.testing.assert_allclose(out.log_softmax, base.log_softmax, atol=1e-9)
 
     def test_matches_per_element_recomputation(self):
@@ -53,7 +54,7 @@ class TestForward:
         out = scorer.forward(p, FrameFeatures(values))
         logits, sig, soft = naive_forward(p, values)
         np.testing.assert_allclose(out.logits, logits, atol=1e-12)
-        np.testing.assert_allclose(out.sigmoid, sig, atol=1e-12)
+        np.testing.assert_allclose(expit(out.logits), sig, atol=1e-12)
         np.testing.assert_allclose(np.exp(out.log_softmax), soft, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -70,7 +71,7 @@ class TestForward:
 class TestCrossEntropy:
     def test_confident_correct_single_class_is_free(self):
         class Fake:
-            softmax = np.ones((1, 4))
+            log_softmax = np.zeros((1, 4))
 
         loss, _ = scorer.cross_entropy_loss(Fake(), FrameLabeling(np.zeros(4, dtype=int)))
         assert loss < 1e-9
@@ -211,7 +212,7 @@ class TestMilPretrain:
         p = scorer.mil_pretrain(p, corpus, epochs=200, lr=0.05, seed=0)
         correct = 0
         for x, aset in held_out:
-            pooled = scorer.forward(p, x).sigmoid.max(axis=1)
+            pooled = expit(scorer.forward(p, x).logits).max(axis=1)
             correct += np.array_equal(np.flatnonzero(pooled > 0.5), aset.as_array())
         assert correct / len(held_out) >= 0.95
 
@@ -248,7 +249,7 @@ class TestMilLossAndGrads:
         aset = ActionSet([1, 3])
         _, grads = scorer.mil_loss_and_grads(p, x, aset)
         scores, cache = scorer.forward(p, x, want_cache=True)
-        f = scores.sigmoid
+        f = expit(scores.logits)
         best_t = f.argmax(axis=1)
         pooled = f[np.arange(4), best_t]
         d_logits = np.zeros_like(f)
@@ -269,7 +270,7 @@ class TestMilLossAndGrads:
             loss, grads = scorer.mil_loss_and_grads(p, x, aset)
 
             scores, cache = scorer.forward(p, x, want_cache=True)
-            f = scores.sigmoid
+            f = expit(scores.logits)
             best_t = f.argmax(axis=1)
             pooled = f[np.arange(5), best_t]
             y = np.isin(np.arange(5), list(aset)).astype(np.float64)
