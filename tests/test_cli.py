@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -414,6 +415,32 @@ class TestErrorPaths:
         capsys.readouterr()
         assert run_cli(["oracle-check", "--trials", "0"]) == 0
         assert capsys.readouterr().out.startswith("0/0 exact segmentations")
+
+    @pytest.mark.parametrize("meta", [np.array([], dtype=np.int64), np.array([7, 9])],
+                             ids=["no-value", "two"])
+    @pytest.mark.parametrize("command", ["train", "segment", "align"])
+    def test_malformed_meta_exits_1_with_one_line(self, pipeline, tmp_path, capsys,
+                                                   command, meta):
+        # the iteration record leads the checkpoint; swap it for a 1-D one
+        _, corpus, _, trained = pipeline
+        head = io.BytesIO()
+        np.lib.format.write_array(head, np.array(40, dtype=np.int64), allow_pickle=False)
+        blob = trained.read_bytes()
+        assert blob.startswith(head.getvalue())
+        bad = io.BytesIO()
+        np.lib.format.write_array(bad, meta, allow_pickle=False)
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(bad.getvalue() + blob[len(head.getvalue()):])
+        out = tmp_path / "out"
+        flag, extra = ("--init", "--iters") if command == "train" else ("--ckpt", "--k")
+        capsys.readouterr()
+        assert run_cli([command, "--manifest", str(corpus / "manifest.txt"), flag, str(ckpt),
+                        "--out", str(out), extra, "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: %s: iteration must be a 0-D int64 array, "
+                                "found a 1-D %s array\n" % (ckpt, meta.dtype))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "segment", "align"])
     def test_old_text_checkpoint_exits_1_with_one_line(self, pipeline, tmp_path, capsys,
