@@ -17,8 +17,7 @@ from .core import (ActionSet, FrameFeatures, FrameLabeling, Segmentation, Vocabu
 from .data import (SynthSpec, VideoRecord, read_checkpoint, read_features, read_labels,
                    read_manifest, synth_generate, write_checkpoint, write_features,
                    write_labels, write_manifest)
-from .hmm import (HmmParams, init_lambdas, init_params, init_priors, init_transitions,
-                  log_frame_likelihood, log_poisson_length, update_refined)
+from .hmm import HmmParams, init_params, log_frame_likelihood, log_poisson_length, update_refined
 from .infer import CandidateSequence, align_video, sample_sequences, segment_video
 from .metrics import anchor_iod, corpus_mof, iod, midpoint_hit, mof
 from .oracle import (brute_force_all_color, brute_force_anchor_best, random_instance,

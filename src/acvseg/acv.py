@@ -135,7 +135,7 @@ def select_anchors(saliency, actions, lambdas, alpha):
         raise ValueError("alpha must be positive")
 
     # candidate centers per class: saliency descending, earlier frame on ties
-    order = [np.lexsort((np.arange(t_total), -s[i])) for i in range(m)]
+    order = np.argsort(-s, axis=1, kind="stable")
 
     while True:
         radius = np.floor(alpha * lambdas / 2.0).astype(np.int64)

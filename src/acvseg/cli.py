@@ -30,10 +30,8 @@ def _require_files(*paths):
 
 def cmd_synth(args):
     _require_files(args.spec)
-    spec = data.read_synth_spec(args.spec)
-    if args.seed is not None:
-        spec.seed = args.seed
-    train_manifest, eval_manifest = data.synth_generate(spec, args.out)
+    train_manifest, eval_manifest = data.synth_generate(data.read_synth_spec(args.spec),
+                                                        args.out)
     print("wrote %s" % train_manifest)
     print("wrote %s" % eval_manifest)
 
@@ -172,7 +170,6 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("pretrain", help="initialize the HMM and pretrain the scorer")

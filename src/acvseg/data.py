@@ -29,7 +29,11 @@ from .scorer import MlpParams
 def _read_array(fh, what, ndim, dtypes):
     """Read the next .npy record from `fh` without unpickling; anything but an
     `ndim`-D array of one of `dtypes` is a ValueError."""
-    x = np.lib.format.read_array(fh, allow_pickle=False)
+    try:
+        x = np.lib.format.read_array(fh, allow_pickle=False)
+    except MemoryError:
+        # read_array allocates the header's whole shape before reading data
+        raise ValueError("%s header claims a shape too large to allocate" % what) from None
     # dtype.type ignores byte order
     if x.ndim != ndim or x.dtype.type not in dtypes:
         raise ValueError("%s must be a %d-D %s array, found a %d-D %s array"

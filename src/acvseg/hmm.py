@@ -2,9 +2,12 @@
 
 Segment lengths are Poisson with a per-class mean, transitions are first
 order between distinct classes, and frame likelihoods come from the frame
-scorer's posteriors divided by the class priors.  Initialization uses only
-the action sets and video lengths of the training corpus; refinement nudges
-the parameters toward per-video pseudo-ground-truth statistics at rate 1/V.
+scorer's posteriors divided by the class priors.  Initialization
+(init_params) uses only the action sets and video lengths of the training
+corpus: all three tables come from one videos x classes set-membership
+matrix.  Refinement nudges the parameters at rate 1/V toward one video's
+pseudo-ground-truth statistics: its segment pair counts and its per-class
+segment counts and length sums.
 """
 
 from __future__ import annotations
@@ -59,93 +62,63 @@ class HmmParams:
             raise ValueError("priors must lie in [0, 1]")
 
 
-def init_transitions(sets, n_classes):
-    """Transition matrix from set-level co-occurrence.
+def init_params(video_lengths, sets, n_classes, l_min):
+    """Initial tables from the training action sets and video lengths alone.
 
-    p(c'|c) is proportional to the number of training sets containing both c
-    and c' (c' != c); rows with any mass are normalized to sum to 1.  Classes
-    appearing in no set get an all-zero row and a warning.
+    With M the (videos, classes) 0/1 set-membership matrix and T the video
+    lengths, counts = M^T M holds the number of sets containing c on its
+    diagonal and the number containing both c and c' off it, and
+    footage = M^T T.  Then
+    - p(c'|c) = counts[c, c'] / counts[c, c] for c' != c, with rows that
+      have any mass normalized to sum to 1;
+    - the mean lengths minimize sum_v (T_v - sum_{c in C_v} lambda_c)^2
+      subject to lambda_c >= l_min: the normal equations
+      counts @ lambda = footage, solved with active-set clamping (violators
+      are fixed at l_min and the free subsystem is re-solved until feasible);
+    - p(c) = footage[c] / sum_v T_v, the share of footage in videos with c.
+    Classes in no set get an all-zero transition row, lambda = l_min, prior
+    0 and one warning.
     """
+    lengths = np.asarray(list(video_lengths), dtype=np.float64)
     sets = list(sets)
-    if not sets:
-        raise ValueError("empty corpus")
-    present = np.zeros(n_classes)
-    pair = np.zeros((n_classes, n_classes))
-    for aset in sets:
-        labels = np.fromiter(aset, dtype=np.int64)
-        if labels.max() >= n_classes:
-            raise ValueError("label id out of range for vocabulary")
-        present[labels] += 1.0
-        for c in labels:
-            others = labels[labels != c]
-            pair[c, others] += 1.0
-    unseen = np.flatnonzero(present == 0)
-    if unseen.size:
-        warnings.warn("classes in no training set get all-zero transition rows: %s"
-                      % (unseen.tolist(),))
-    trans = np.zeros_like(pair)
-    rows = np.flatnonzero(present > 0)
-    trans[rows] = pair[rows] / present[rows, None]
-    sums = trans.sum(axis=1)
-    nz = sums > 0
-    trans[nz] /= sums[nz, None]
-    return trans
-
-
-def init_lambdas(video_lengths, sets, n_classes, l_min):
-    """Per-class mean lengths minimizing sum_v (T_v - sum_{c in C_v} lambda_c)^2
-    subject to lambda_c >= l_min.
-
-    Solved by the normal equations with active-set clamping: violators are
-    fixed at l_min and the free subsystem is re-solved until feasible.
-    Classes appearing in no set get l_min and a warning.
-    """
-    video_lengths = np.asarray(list(video_lengths), dtype=np.float64)
-    sets = list(sets)
-    if video_lengths.shape[0] != len(sets) or not sets:
+    if lengths.shape[0] != len(sets) or not sets:
         raise ValueError("need one action set per video, at least one video")
     member = np.zeros((len(sets), n_classes))
     for v, aset in enumerate(sets):
-        member[v, list(aset)] = 1.0
-    seen = member.any(axis=0)
+        labels = list(aset)
+        if max(labels) >= n_classes:
+            raise ValueError("label id out of range for vocabulary")
+        member[v, labels] = 1.0
+    # integer sums, so exact in any summation order
+    counts = member.T @ member
+    footage = member.T @ lengths
+    present = np.diag(counts)
+    seen = present > 0
     if not seen.all():
-        warnings.warn("classes in no training set get lambda = l_min: %s"
-                      % (np.flatnonzero(~seen).tolist(),))
-    a_full = member.T @ member
-    b_full = member.T @ video_lengths
+        warnings.warn("classes in no training set get an all-zero transition row, "
+                      "lambda = l_min and prior 0: %s" % (np.flatnonzero(~seen).tolist(),))
+
+    trans = np.zeros_like(counts)
+    trans[seen] = counts[seen] / present[seen, None]
+    np.fill_diagonal(trans, 0.0)
+    sums = trans.sum(axis=1)
+    nz = sums > 0
+    trans[nz] /= sums[nz, None]
+
     lam = np.full(n_classes, float(l_min))
     free = seen.copy()
     while free.any():
         idx = np.flatnonzero(free)
         fixed = np.flatnonzero(seen & ~free)
-        rhs = b_full[idx] - a_full[np.ix_(idx, fixed)].sum(axis=1) * float(l_min)
-        sol, *_ = np.linalg.lstsq(a_full[np.ix_(idx, idx)], rhs, rcond=None)
+        rhs = footage[idx] - counts[np.ix_(idx, fixed)].sum(axis=1) * float(l_min)
+        sol, *_ = np.linalg.lstsq(counts[np.ix_(idx, idx)], rhs, rcond=None)
         violating = sol < l_min
         if not violating.any():
             lam[idx] = sol
             break
         free[idx[violating]] = False
-    return lam
 
-
-def init_priors(video_lengths, sets, n_classes):
-    """p(c) = fraction of corpus footage belonging to videos whose set has c."""
-    video_lengths = np.asarray(list(video_lengths), dtype=np.float64)
-    sets = list(sets)
-    if video_lengths.shape[0] != len(sets) or not sets:
-        raise ValueError("need one action set per video, at least one video")
-    num = np.zeros(n_classes)
-    for t_v, aset in zip(video_lengths, sets):
-        num[list(aset)] += t_v
-    return num / video_lengths.sum()
-
-
-def init_params(video_lengths, sets, n_classes, l_min):
-    video_lengths = list(video_lengths)
-    sets = list(sets)
-    return HmmParams(init_transitions(sets, n_classes),
-                     init_lambdas(video_lengths, sets, n_classes, l_min),
-                     init_priors(video_lengths, sets, n_classes))
+    return HmmParams(trans, lam, footage / lengths.sum())
 
 
 def _log_poisson(length, lam):
@@ -193,19 +166,19 @@ def update_refined(params, seg, num_videos):
         raise ValueError("segment label out of range")
 
     trans = params.transitions.copy()
-    if actions.shape[0] >= 2:
-        pair = np.zeros((n, n))
-        np.add.at(pair, (actions[:-1], actions[1:]), 1.0)
-        out = pair.sum(axis=1)
-        for c in np.flatnonzero(out > 0):
-            trans[c] += rate * (pair[c] / out[c] - trans[c])
+    pair = np.zeros((n, n))
+    np.add.at(pair, (actions[:-1], actions[1:]), 1.0)
+    out = pair.sum(axis=1)
+    moved = out > 0
+    trans[moved] += rate * (pair[moved] / out[moved, None] - trans[moved])
 
+    # per-class sums of integer lengths are exact, so total / count is the exact mean
+    count = np.bincount(actions, minlength=n)
+    total = np.bincount(actions, weights=lengths, minlength=n)
+    hit = count > 0
     lam = params.lambdas.copy()
-    for c in np.unique(actions):
-        est = lengths[actions == c].mean()
-        lam[c] += rate * (est - lam[c])
+    lam[hit] += rate * (total[hit] / count[hit] - lam[hit])
     lam = np.maximum(lam, 1.0)
 
-    footage = np.bincount(actions, weights=lengths, minlength=n) / lengths.sum()
-    priors = params.priors + rate * (footage - params.priors)
+    priors = params.priors + rate * (total / lengths.sum() - params.priors)
     return HmmParams(trans, lam, priors)

@@ -221,14 +221,16 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--prune", "on"), ("train", "--prune", "off"),
-        ("train", "--lmin", "10"), ("eval", "--metric", "mof")],
-        ids=["prune-on", "prune-off", "train-lmin", "eval-metric"])
+        ("train", "--lmin", "10"), ("eval", "--metric", "mof"), ("synth", "--seed", "3")],
+        ids=["prune-on", "prune-off", "train-lmin", "eval-metric", "synth-seed"])
     def test_removed_flag_is_a_usage_error(self, pipeline, capsys, command, flag, value):
         root, corpus, init, _ = pipeline
         required = {"train": ["--manifest", str(corpus / "manifest.txt"), "--init", str(init),
                               "--out", str(root / "x.ckpt")],
                     "eval": ["--pred", str(root / "seg"),
-                             "--gt", str(corpus / "manifest_eval.txt")]}[command]
+                             "--gt", str(corpus / "manifest_eval.txt")],
+                    "synth": ["--spec", str(root / "spec.json"),
+                              "--out", str(root / "synth-seed")]}[command]
         capsys.readouterr()
         assert run_cli([command] + required + [flag, value]) == 2
         err = capsys.readouterr().err
@@ -440,6 +442,31 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == ("error: %s: iteration must be a 0-D int64 array, "
                                 "found a 1-D %s array\n" % (ckpt, meta.dtype))
+        assert not out.exists()
+
+    def test_huge_shape_checkpoint_exits_1_with_one_line(self, pipeline, tmp_path, capsys):
+        # the W1 header claims (999999999999, 32), far more than can be allocated
+        _, corpus, _, trained = pipeline
+        with open(trained, "rb") as fh:
+            records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(9)]
+        bad = io.BytesIO()
+        for i, x in enumerate(records):
+            if i == 5:  # W1
+                np.lib.format.write_array_header_1_0(
+                    bad, {"descr": "<f8", "fortran_order": False, "shape": (999999999999, 32)})
+                bad.write(x.tobytes())
+            else:
+                np.lib.format.write_array(bad, x, allow_pickle=False)
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(bad.getvalue())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(["align", "--manifest", str(corpus / "manifest_eval.txt"),
+                        "--ckpt", str(ckpt), "--out", str(out), "--k", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: %s: W1 header claims a shape too large to "
+                                "allocate\n" % ckpt)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "segment", "align"])

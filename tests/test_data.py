@@ -38,6 +38,14 @@ def npy_bytes(arr):
         return buf.getvalue()
 
 
+def huge_header_bytes(shape):
+    """A float64 .npy header claiming `shape`, far more than can be allocated."""
+    with io.BytesIO() as buf:
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        return buf.getvalue()
+
+
 class TestFeatures:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "x.npy"
@@ -146,8 +154,9 @@ class TestFeatures:
         lambda path: write_npy(path, np.zeros((0, 3))),
         lambda path: write_npy(path, np.zeros((4, 0))),
         lambda path: write_npy(path, np.array([[1.0, np.inf]])),
+        lambda path: path.write_bytes(huge_header_bytes((10 ** 13, 2)) + bytes(48)),
     ], ids=["empty", "old-text", "truncated", "npz", "1-d", "3-d", "complex", "int", "bool",
-            "float16", "zero-rows", "zero-columns", "non-finite"])
+            "float16", "zero-rows", "zero-columns", "non-finite", "huge-shape"])
     def test_unreadable_file_rejected_naming_the_path(self, tmp_path, make):
         path = tmp_path / "x.npy"
         make(path)
@@ -358,10 +367,12 @@ class TestCheckpoint:
         lambda: checkpoint_bytes(vocab=np.array([], dtype=str)),
         lambda: checkpoint_bytes(vocab=np.array(["a", "b", "a"])),
         lambda: b"".join(npy_bytes(x) for x in checkpoint_records()[:-1]),
+        lambda: b"".join(huge_header_bytes((999999999999, 32)) + x.tobytes() if i == 5
+                         else npy_bytes(x) for i, x in enumerate(checkpoint_records())),
     ], ids=["empty", "old-text", "truncated-header", "truncated-data", "trailing-bytes", "npz",
             "features-npy", "float-iteration", "negative-iteration", "float32-table", "1-d-W1",
             "inconsistent-transitions", "empty-vocabulary", "duplicate-vocabulary",
-            "missing-last-record"])
+            "missing-last-record", "huge-shape"])
     def test_unreadable_checkpoint_rejected_naming_the_path(self, tmp_path, make):
         path = tmp_path / "x.ckpt"
         path.write_bytes(make())
