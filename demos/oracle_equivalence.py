@@ -26,8 +26,8 @@ t0 = time.perf_counter()
 for trial in range(50):
     inst = oracle.random_instance(fork_rng(0, "demo-oracle", trial),
                                   max_frames=40, max_classes=3)
-    _, dp_score = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
-    _, bf_score = oracle.brute_force_anchor_best(inst["graph"], inst["loglik"],
+    _, dp_score = acv.constrained_viterbi(inst["anchors"], inst["loglik"], inst["hmm"])
+    _, bf_score = oracle.brute_force_anchor_best(inst["anchors"], inst["loglik"],
                                                  inst["hmm"])
     worst = max(worst, abs(dp_score - bf_score))
 print("  50 instances, worst |DP - brute force| = %.3e  (%.2fs)"
@@ -40,7 +40,7 @@ gaps = []
 for trial in range(25):
     inst = oracle.random_instance(fork_rng(0, "demo-dominance", trial),
                                   max_frames=16, max_classes=3)
-    _, dp_score = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
+    _, dp_score = acv.constrained_viterbi(inst["anchors"], inst["loglik"], inst["hmm"])
     _, free_score = oracle.brute_force_all_color(inst["loglik"], inst["classes"],
                                                  inst["hmm"], inst["num_frames"],
                                                  max_segments=4)

@@ -62,8 +62,8 @@ mlp = acvseg.mil_pretrain(mlp, [(v.features, v.action_set) for v in train_videos
 # ---------------------------------------------------------------------------
 cfg = TrainConfig(iters=1500, lr=0.01, lr_drop_at=10**9,
                   alpha=0.6, beta=0.4, tau=15, seed=3, log_every=500)
-hmm_params, mlp, stats = train(train_videos, hmm_params, mlp, cfg,
-                               log=lambda line: print("  " + line))
+hmm_params, mlp, _ = train(train_videos, hmm_params, mlp, cfg,
+                           log=lambda line: print("  " + line))
 
 # ---------------------------------------------------------------------------
 # 4. Segment and align held-out videos, then score against hidden labels.

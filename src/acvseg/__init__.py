@@ -10,8 +10,8 @@ and alignment sample candidate action sequences and keep the best-scoring
 alignment.  Brute-force oracles verify the dynamic programs at small sizes.
 """
 
-from .acv import (Anchor, AnchorGraph, AnchorSet, build_graph, compute_saliency,
-                  constrained_viterbi, select_anchors)
+from .acv import (Anchor, AnchorSet, compute_saliency, constrained_viterbi, cut_domains,
+                  select_anchors)
 from .core import (ActionSet, FrameFeatures, FrameLabeling, Segmentation, Vocabulary,
                    expand_segmentation, segmentation_from_labels, validate_segmentation)
 from .data import (SynthSpec, VideoRecord, read_checkpoint, read_features, read_labels,

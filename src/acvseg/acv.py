@@ -2,8 +2,8 @@
 
 Per-class saliency peaks become anchors, anchors define a graph of candidate
 segmentations containing each action of the video's set exactly once in
-anchor order, and an exact segmental Viterbi picks the best cuts.  The
-result is the pseudo ground truth the scorer is trained on.
+anchor order (its cut domains), and an exact segmental Viterbi picks the
+best cuts.  The result is the pseudo ground truth the scorer is trained on.
 """
 
 from __future__ import annotations
@@ -59,20 +59,6 @@ class AnchorSet:
 
     def __iter__(self):
         return iter(self.anchors)
-
-
-@dataclass(frozen=True)
-class AnchorGraph:
-    """Candidate segmentations: segment n must contain anchor n entirely.
-
-    cut_domains[n] is the inclusive (lo, hi) range for the last frame of
-    segment n; segment 1 starts at frame 0 and the last segment ends at
-    frame T-1.
-    """
-
-    anchors: AnchorSet
-    num_frames: int
-    cut_domains: tuple
 
 
 def window_sum(rows, tau):
@@ -131,8 +117,8 @@ def select_anchors(saliency, actions, lambdas, alpha):
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if len(actions) != m or lambdas.shape != (m,):
         raise ValueError("need one action and one lambda per saliency row")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be a positive finite number, got %r" % (alpha,))
 
     # candidate centers per class: saliency descending, earlier frame on ties
     order = np.argsort(-s, axis=1, kind="stable")
@@ -179,29 +165,30 @@ def _place(s, order, radius, t_total):
             return None
 
 
-def build_graph(anchor_set, num_frames):
-    """Cut n may land anywhere from the end of anchor n through the frame
-    before anchor n+1 starts."""
+def cut_domains(anchor_set, num_frames):
+    """The anchor graph as N-1 inclusive (lo, hi) ranges: segment n must
+    contain anchor n, so its last frame lies from the end of anchor n through
+    the frame before anchor n+1 starts."""
     anchors = list(anchor_set)
     if anchors[-1].end > num_frames - 1:
         raise ValueError("anchor interval beyond the last frame")
-    domains = tuple((a.end, b.start - 1) for a, b in zip(anchors, anchors[1:]))
-    return AnchorGraph(anchor_set, num_frames, domains)
+    return tuple((a.end, b.start - 1) for a, b in zip(anchors, anchors[1:]))
 
 
-def constrained_viterbi(graph, loglik, hmm_params):
+def constrained_viterbi(anchor_set, loglik, hmm_params):
     """Best segmentation through the anchor graph under the HMM objective.
 
-    loglik rows follow the sorted order of the graph's actions.  Returns
-    (Segmentation, log-score); the score includes length, likelihood and
-    transition terms.  Ties go to the earliest cuts.
+    loglik has a row per anchor's action, in sorted order, and a column per
+    frame.  Returns (Segmentation, log-score); the score includes length,
+    likelihood and transition terms.  Ties go to the earliest cuts.
     """
     loglik = np.asarray(loglik, dtype=np.float64)
-    actions = [a.action for a in graph.anchors]
+    actions = [a.action for a in anchor_set]
     classes = sorted(actions)
-    if loglik.shape != (len(classes), graph.num_frames):
+    if loglik.ndim != 2 or loglik.shape[0] != len(classes):
         raise ValueError("need a likelihood row per action of the set")
-    return dp.best_segmentation([actions], loglik, classes, hmm_params, graph.cut_domains)[0]
+    domains = cut_domains(anchor_set, loglik.shape[1])
+    return dp.best_segmentation([actions], loglik, classes, hmm_params, domains)[0]
 
 
 def write_acv_dump(path, anchor_set, seg):

@@ -59,9 +59,9 @@ def cmd_train(args):
     cfg = training.TrainConfig(iters=args.iters, lr=args.lr, lr_drop_at=args.lr_drop_at,
                                lr_after=args.lr_after, alpha=args.alpha, beta=args.beta,
                                tau=args.tau, seed=args.seed)
-    hmm_params, mlp, stats = training.train(videos, hmm_params, mlp, cfg,
-                                            start_iter=start_iter, log=print)
-    data.write_checkpoint(args.out, vocab, hmm_params, mlp, iteration=stats.iterations)
+    hmm_params, mlp, iterations = training.train(videos, hmm_params, mlp, cfg,
+                                                 start_iter=start_iter, log=print)
+    data.write_checkpoint(args.out, vocab, hmm_params, mlp, iteration=iterations)
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for video in videos:
@@ -73,6 +73,8 @@ def cmd_train(args):
 
 def _predict(args, task):
     _require_files(args.manifest, args.ckpt)
+    if args.k < 1:  # a run-wide setting, so its error names no video
+        raise ValueError("k must be >= 1")
     vocab, videos = training.load_corpus(args.manifest)
     ck_vocab, hmm_params, mlp, _ = data.read_checkpoint(args.ckpt)
     if ck_vocab != vocab:
@@ -90,12 +92,12 @@ def _predict(args, task):
     segs = []
     for video in videos:
         seed = fork_rng(args.seed, task, video.video_id).integers(2 ** 31)
-        if task == "segment":
-            seg, _ = infer.segment_video(video.features, training_sets, mlp, hmm_params,
-                                         k=args.k, seed=seed)
-        else:
-            seg, _ = infer.align_video(video.features, video.action_set, mlp, hmm_params,
-                                       k=args.k, seed=seed)
+        decode, sets = ((infer.segment_video, training_sets) if task == "segment"
+                        else (infer.align_video, video.action_set))
+        try:
+            seg, _ = decode(video.features, sets, mlp, hmm_params, k=args.k, seed=seed)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (video.video_id, exc)) from None
         segs.append(seg)
     os.makedirs(args.out, exist_ok=True)
     for video, seg in zip(videos, segs):
@@ -152,8 +154,8 @@ def cmd_oracle_check(args):
     for trial in range(args.trials):
         inst = oracle.random_instance(fork_rng(args.seed, "oracle-check", trial),
                                       max_frames=args.tmax, max_classes=args.cmax)
-        seg_dp, score_dp = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
-        seg_bf, score_bf = oracle.brute_force_anchor_best(inst["graph"], inst["loglik"],
+        seg_dp, score_dp = acv.constrained_viterbi(inst["anchors"], inst["loglik"], inst["hmm"])
+        seg_bf, score_bf = oracle.brute_force_anchor_best(inst["anchors"], inst["loglik"],
                                                           inst["hmm"])
         if seg_dp != seg_bf:
             print("mismatch at trial %d: %s vs %s" % (trial, seg_dp, seg_bf))

@@ -177,7 +177,7 @@ def write_checkpoint(path, vocab, hmm_params, mlp_params, iteration):
 
 def read_checkpoint(path):
     """Returns (vocab, HmmParams, MlpParams, iteration).  A missing, extra or
-    malformed record is a ValueError that names the file."""
+    malformed record, or a failed HmmParams.check, is a ValueError naming the file."""
     with open(path, "rb") as fh:
         try:
             iteration = int(_read_array(fh, "iteration", 0, (np.int64,)))
@@ -190,6 +190,7 @@ def read_checkpoint(path):
                                      for name, ndim in _MLP_RECORDS))
             if fh.read(1):
                 raise ValueError("trailing bytes after the last record")
+            hmm_params.check()
         except ValueError as exc:
             raise ValueError("%s: %s" % (path, exc)) from None
     return vocab, hmm_params, mlp_params, iteration

@@ -45,20 +45,20 @@ class HmmParams:
         return HmmParams(self.transitions.copy(), self.lambdas.copy(), self.priors.copy())
 
     def check(self):
-        """Raise if any structural invariant is violated, up to float round-off."""
+        """Raise if any invariant is violated, up to float round-off; NaN fails."""
         tol = 1e-9
-        if np.any(self.transitions < -tol):
+        if not np.all(self.transitions >= -tol):
             raise ValueError("negative transition probability")
-        if np.any(np.abs(np.diag(self.transitions)) > tol):
+        if not np.all(np.abs(np.diag(self.transitions)) <= tol):
             raise ValueError("self-transitions must be zero")
         sums = self.transitions.sum(axis=1)
-        bad = (sums > tol) & (np.abs(sums - 1.0) > tol)
+        bad = ~((sums <= tol) | (np.abs(sums - 1.0) <= tol))
         if np.any(bad):
             raise ValueError("transition rows with outgoing mass must sum to 1: rows %s"
                              % (np.flatnonzero(bad).tolist(),))
-        if np.any(self.lambdas < 1.0 - tol):
+        if not np.all(self.lambdas >= 1.0 - tol):
             raise ValueError("mean lengths must be >= 1 frame")
-        if np.any(self.priors < -tol) or np.any(self.priors > 1.0 + tol):
+        if not np.all((self.priors >= -tol) & (self.priors <= 1.0 + tol)):
             raise ValueError("priors must lie in [0, 1]")
 
 
@@ -76,9 +76,11 @@ def init_params(video_lengths, sets, n_classes, l_min):
       counts @ lambda = footage, solved with active-set clamping (violators
       are fixed at l_min and the free subsystem is re-solved until feasible);
     - p(c) = footage[c] / sum_v T_v, the share of footage in videos with c.
-    Classes in no set get an all-zero transition row, lambda = l_min, prior
-    0 and one warning.
+    Classes in no set get an all-zero transition row, lambda = l_min (finite
+    and >= 1, as HmmParams requires), prior 0 and one warning.
     """
+    if not (np.isfinite(l_min) and l_min >= 1):
+        raise ValueError("l_min must be a finite number >= 1, got %r" % (l_min,))
     lengths = np.asarray(list(video_lengths), dtype=np.float64)
     sets = list(sets)
     if lengths.shape[0] != len(sets) or not sets:

@@ -122,12 +122,9 @@ def _best_over_candidates(x, action_set, mlp_params, hmm_params, k, rng):
             part = group[i: i + chunk]
             aligned.update(zip(part, dp.best_segmentation(part, rows, classes, hmm_params,
                                                           domains)))
-    # a repeat never beats its own score, so walking first appearances with a
-    # strict > picks the earliest sampled of the tied best candidates
-    best = None
-    for seg, score in aligned.values():
-        if best is None or score > best[1]:
-            best = (seg, score)
+    # max keeps the first of equal maxima (scores are never NaN), and a repeat
+    # never beats its own score, so the earliest sampled tied best wins
+    best = max(aligned.values(), key=lambda pair: pair[1])
     if best[1] == -np.inf:
         raise ValueError("every candidate sequence scores -inf")
     return best

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .acv import Anchor, AnchorSet, build_graph
+from .acv import Anchor, AnchorSet, cut_domains
 from .core import Segmentation
 from .hmm import HmmParams, log_poisson_length
 
@@ -44,17 +44,18 @@ def score_segmentation(actions, lengths, loglik, classes, hmm_params):
     return total
 
 
-def brute_force_anchor_best(graph, loglik, hmm_params):
-    """Exhaustive maximum over the anchor graph's legal cut placements."""
-    ranges = [range(lo, hi + 1) for lo, hi in graph.cut_domains]
+def brute_force_anchor_best(anchor_set, loglik, hmm_params):
+    """Exhaustive maximum over the anchor graph's legal cut placements;
+    loglik is laid out as for acv.constrained_viterbi."""
+    t_total = np.shape(loglik)[1]
+    ranges = [range(lo, hi + 1) for lo, hi in cut_domains(anchor_set, t_total)]
     n_paths = 1
     for r in ranges:
         n_paths *= len(r)
     if n_paths > MAX_ANCHOR_PATHS:
         raise ValueError("too many cut combinations: %d" % n_paths)
-    actions = [a.action for a in graph.anchors]
+    actions = [a.action for a in anchor_set]
     classes = sorted(actions)
-    t_total = graph.num_frames
     best = None
     for cuts in itertools.product(*ranges):
         bounds = (-1,) + cuts + (t_total - 1,)
@@ -106,8 +107,8 @@ def brute_force_all_color(loglik, classes, hmm_params, num_frames, max_segments)
 def random_instance(rng, max_frames, max_classes):
     """A random small segmentation problem for equivalence sweeps, drawn from
     the numpy Generator `rng`: frame log-likelihoods (standard normals
-    times 2), HMM parameters, and an anchor graph over disjoint random
-    intervals with the set's classes in random temporal order.  A set of
+    times 2), HMM parameters, and an AnchorSet of disjoint random intervals
+    with the set's classes in random temporal order.  A set of
     max_classes actions needs 2 * max_classes anchor edges."""
     if max_classes < 1 or max_frames < max(4, 2 * max_classes):
         raise ValueError("need max_classes >= 1 and max_frames >= max(4, 2 * max_classes), "
@@ -132,6 +133,5 @@ def random_instance(rng, max_frames, max_classes):
     for i in range(m):
         start, end = int(edges[2 * i]), int(edges[2 * i + 1])
         anchors.append(Anchor(classes[order[i]], (start + end) // 2, start, end))
-    graph = build_graph(AnchorSet(anchors), t_total)
     return {"num_frames": t_total, "classes": classes, "loglik": loglik,
-            "hmm": params, "graph": graph}
+            "hmm": params, "anchors": AnchorSet(anchors)}

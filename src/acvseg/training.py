@@ -79,10 +79,9 @@ def pseudo_ground_truth(mlp_params, hmm_params, video, cfg, scores=None):
     sal = acv.compute_saliency(scores, aset, cfg.tau)
     classes = aset.as_array()
     anchors = acv.select_anchors(sal, classes, hmm_params.lambdas[classes], cfg.alpha)
-    graph = acv.build_graph(anchors, video.features.num_frames)
     loglik = hmm_mod.log_frame_likelihood(scores.log_softmax[classes],
                                           hmm_params.priors[classes])
-    seg, score = acv.constrained_viterbi(graph, loglik, hmm_params)
+    seg, score = acv.constrained_viterbi(anchors, loglik, hmm_params)
     return seg, anchors, score
 
 
@@ -106,16 +105,10 @@ def loss_and_grads(mlp_params, scored, action_set, pseudo_labels, tau, beta):
     return ce + beta * div, ce, div, grads
 
 
-@dataclass
-class TrainStats:
-    """What train reports.  iterations = start_iter + cfg.iters is the count a
-    checkpoint of the result records and a resume starts from."""
-    iterations: int
-
-
 def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
     """Run cfg.iters iterations starting at start_iter; returns the updated
-    (hmm_params, mlp_params, stats).  Videos must carry in-memory features."""
+    (hmm_params, mlp_params, start_iter + cfg.iters), the last being the
+    count a checkpoint records.  Videos must carry in-memory features."""
     if cfg.iters < 0:
         raise ValueError("iters must be >= 0, got %d" % cfg.iters)
     if not videos:
@@ -146,7 +139,7 @@ def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
                 line += " anchor_iod %.4f" % probe_anchor_iod(mlp_params, hmm_params, probe, cfg)
             log(line)
             ce_sum, div_sum, since = 0.0, 0.0, 0
-    return hmm_params, mlp_params, TrainStats(start_iter + cfg.iters)
+    return hmm_params, mlp_params, start_iter + cfg.iters
 
 
 def probe_anchor_iod(mlp_params, hmm_params, probe_videos, cfg):

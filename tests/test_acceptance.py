@@ -34,9 +34,9 @@ def test_criterion_1_constrained_viterbi_matches_oracle():
     for trial in range(200):
         inst = oracle.random_instance(fork_rng(0, "accept-oracle", trial),
                                       max_frames=40, max_classes=3)
-        seg_dp, score_dp = acv.constrained_viterbi(inst["graph"], inst["loglik"],
+        seg_dp, score_dp = acv.constrained_viterbi(inst["anchors"], inst["loglik"],
                                                    inst["hmm"])
-        seg_bf, score_bf = oracle.brute_force_anchor_best(inst["graph"],
+        seg_bf, score_bf = oracle.brute_force_anchor_best(inst["anchors"],
                                                           inst["loglik"], inst["hmm"])
         gap = abs(score_dp - score_bf)
         worst = max(worst, gap)
@@ -70,7 +70,7 @@ def test_criterion_3_all_color_oracle_dominates_acv():
     for trial in range(100):
         inst = oracle.random_instance(fork_rng(0, "accept-dominance", trial),
                                       max_frames=20, max_classes=3)
-        _, score_dp = acv.constrained_viterbi(inst["graph"], inst["loglik"],
+        _, score_dp = acv.constrained_viterbi(inst["anchors"], inst["loglik"],
                                               inst["hmm"])
         # one segment beyond |C| keeps the oracle space a strict superset of
         # the anchor DP's exactly-|C|-segment space at tractable cost
@@ -328,18 +328,18 @@ def test_criterion_9_quadratic_scaling():
         for i in range(m):
             center = int((i + 0.5) * t_total / m)
             anchors.append(Anchor(i, center, center - width, center + width))
-        graph = acv.build_graph(AnchorSet(anchors), t_total)
+        anchors = AnchorSet(anchors)
         loglik = fork_rng(13, "scaling", t_total).standard_normal((m, t_total))
         trans = (np.ones((8, 8)) - np.eye(8)) / 7.0
         params = hmm.HmmParams(trans, lam, np.full(8, 0.5))
-        acv.constrained_viterbi(graph, loglik, params)  # warm-up
+        acv.constrained_viterbi(anchors, loglik, params)  # warm-up
         # amortize over enough calls that timer noise cannot move the ratio
         best = np.inf
         for _ in range(3):
             reps = 0
             t0 = time.perf_counter()
             while True:
-                acv.constrained_viterbi(graph, loglik, params)
+                acv.constrained_viterbi(anchors, loglik, params)
                 reps += 1
                 elapsed = time.perf_counter() - t0
                 if elapsed >= 0.25 and reps >= 5:

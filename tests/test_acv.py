@@ -203,27 +203,24 @@ def place_by_pair_scan(s, order, radius, t_total):
     raise AssertionError("reference placement did not settle")
 
 
-class TestBuildGraph:
+class TestCutDomains:
     def test_single_anchor_spans_whole_video(self):
         anchors = acv.AnchorSet([acv.Anchor(3, 5, 4, 6)])
-        graph = acv.build_graph(anchors, 12)
-        assert graph.cut_domains == ()
+        assert acv.cut_domains(anchors, 12) == ()
 
     def test_two_anchor_cut_domain_matches_hand_enumeration(self):
         anchors = acv.AnchorSet([acv.Anchor(0, 2, 2, 3), acv.Anchor(1, 7, 7, 8)])
-        graph = acv.build_graph(anchors, 10)
-        assert graph.cut_domains == ((3, 6),)
+        assert acv.cut_domains(anchors, 10) == ((3, 6),)
 
     def test_adjacent_anchors_leave_one_cut(self):
         anchors = acv.AnchorSet([acv.Anchor(0, 2, 1, 3), acv.Anchor(1, 5, 4, 7)])
-        graph = acv.build_graph(anchors, 9)
-        (lo, hi) = graph.cut_domains[0]
+        (lo, hi), = acv.cut_domains(anchors, 9)
         assert lo == hi == 3
 
     def test_anchor_past_video_end_rejected(self):
         anchors = acv.AnchorSet([acv.Anchor(0, 5, 4, 6)])
         with pytest.raises(ValueError):
-            acv.build_graph(anchors, 6)
+            acv.cut_domains(anchors, 6)
 
 
 def uniform_params(n, lam):
@@ -239,8 +236,8 @@ class TestConstrainedViterbi:
         rng = np.random.default_rng(5)
         loglik = rng.standard_normal((1, 9))
         params = uniform_params(1, 4.0)
-        graph = acv.build_graph(acv.AnchorSet([acv.Anchor(0, 4, 3, 5)]), 9)
-        seg, score = acv.constrained_viterbi(graph, loglik, params)
+        anchors = acv.AnchorSet([acv.Anchor(0, 4, 3, 5)])
+        seg, score = acv.constrained_viterbi(anchors, loglik, params)
         assert seg.actions == (0,) and seg.lengths == (9,)
         expect = loglik.sum() + hmm.log_poisson_length(9, 4.0)
         np.testing.assert_allclose(score, expect, atol=1e-12)
@@ -250,12 +247,11 @@ class TestConstrainedViterbi:
         params = uniform_params(2, 8.0)
         params.lambdas[:] = (8.0, 22.0)
         loglik = np.zeros((2, t_total))
-        graph = acv.build_graph(acv.AnchorSet([acv.Anchor(0, 2, 2, 3),
-                                               acv.Anchor(1, 27, 26, 27)]), t_total)
-        seg, score = acv.constrained_viterbi(graph, loglik, params)
+        anchors = acv.AnchorSet([acv.Anchor(0, 2, 2, 3), acv.Anchor(1, 27, 26, 27)])
+        seg, score = acv.constrained_viterbi(anchors, loglik, params)
 
         def by_grid():
-            lo, hi = graph.cut_domains[0]
+            (lo, hi), = acv.cut_domains(anchors, t_total)
             best = None
             for cut in range(lo, hi + 1):
                 l1 = cut + 1
@@ -276,9 +272,9 @@ class TestConstrainedViterbi:
     def test_matches_brute_force_on_random_instances(self):
         for trial in range(60):
             inst = oracle.random_instance(fork_rng(7, "sweep", trial), 40, 3)
-            seg_dp, score_dp = acv.constrained_viterbi(inst["graph"], inst["loglik"],
+            seg_dp, score_dp = acv.constrained_viterbi(inst["anchors"], inst["loglik"],
                                                        inst["hmm"])
-            seg_bf, score_bf = oracle.brute_force_anchor_best(inst["graph"],
+            seg_bf, score_bf = oracle.brute_force_anchor_best(inst["anchors"],
                                                               inst["loglik"], inst["hmm"])
             assert seg_dp == seg_bf
             assert abs(score_dp - score_bf) <= 1e-9
@@ -286,16 +282,16 @@ class TestConstrainedViterbi:
     def test_output_always_covers_the_set(self):
         for trial in range(40):
             inst = oracle.random_instance(fork_rng(8, "cover", trial), 40, 3)
-            seg, _ = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
-            members = ActionSet([a.action for a in inst["graph"].anchors])
-            assert validate_segmentation(seg, inst["graph"].num_frames, members)
+            seg, _ = acv.constrained_viterbi(inst["anchors"], inst["loglik"], inst["hmm"])
+            members = ActionSet([a.action for a in inst["anchors"]])
+            assert validate_segmentation(seg, inst["num_frames"], members)
 
     def test_each_segment_contains_its_anchor(self):
         for trial in range(40):
             inst = oracle.random_instance(fork_rng(9, "contain", trial), 40, 3)
-            seg, _ = acv.constrained_viterbi(inst["graph"], inst["loglik"], inst["hmm"])
+            seg, _ = acv.constrained_viterbi(inst["anchors"], inst["loglik"], inst["hmm"])
             start = 0
-            for anchor, length in zip(inst["graph"].anchors, seg.lengths):
+            for anchor, length in zip(inst["anchors"], seg.lengths):
                 end = start + length - 1
                 assert start <= anchor.start and anchor.end <= end
                 start += length
@@ -303,9 +299,9 @@ class TestConstrainedViterbi:
     def test_score_equals_independent_rescoring(self):
         for trial in range(40):
             inst = oracle.random_instance(fork_rng(10, "rescore", trial), 40, 3)
-            seg, score = acv.constrained_viterbi(inst["graph"], inst["loglik"],
+            seg, score = acv.constrained_viterbi(inst["anchors"], inst["loglik"],
                                                  inst["hmm"])
-            classes = sorted({a.action for a in inst["graph"].anchors})
+            classes = sorted({a.action for a in inst["anchors"]})
             again = oracle.score_segmentation(seg.actions, seg.lengths, inst["loglik"],
                                               classes, inst["hmm"])
             assert abs(score - again) <= 1e-9
@@ -315,7 +311,7 @@ class TestConstrainedViterbi:
         bad = inst["loglik"].copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            acv.constrained_viterbi(inst["graph"], bad, inst["hmm"])
+            acv.constrained_viterbi(inst["anchors"], bad, inst["hmm"])
 
 
 def test_dump_file_lists_anchors_and_cuts(tmp_path):

@@ -276,7 +276,9 @@ class TestErrorPaths:
                         "--k", "5", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "no sequence can cover" in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: zshort: no sequence can cover the set: ")
         assert not out.exists()
 
     def test_video_id_outside_out_dir_exits_1_and_writes_nothing(self, pipeline, tmp_path,
@@ -373,10 +375,29 @@ class TestErrorPaths:
         assert captured.err == "error: iters must be >= 0, got -5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                                         value):
+        _, corpus, init, _ = pipeline
+        out = tmp_path / "alpha.ckpt"
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"),
+                        "--init", str(init), "--out", str(out), "--iters", "3",
+                        "--alpha", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha must be a positive finite number, got %s\n" % value
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--epochs", "-3", "epochs must be >= 0, got -3"),
         ("--hidden", "0", "n_hidden must be >= 1, got 0"),
-        ("--hidden", "-1", "n_hidden must be >= 1, got -1")])
+        ("--hidden", "-1", "n_hidden must be >= 1, got -1"),
+        ("--lmin", "nan", "l_min must be a finite number >= 1, got nan"),
+        ("--lmin", "inf", "l_min must be a finite number >= 1, got inf"),
+        ("--lmin", "0.5", "l_min must be a finite number >= 1, got 0.5"),
+        ("--lmin", "0", "l_min must be a finite number >= 1, got 0.0"),
+        ("--lmin", "-5", "l_min must be a finite number >= 1, got -5.0")])
     def test_bad_pretrain_size_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys,
                                                           flag, value, message):
         _, corpus, _, _ = pipeline

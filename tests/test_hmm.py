@@ -244,6 +244,14 @@ def test_init_params_bundle_consistent():
                                reference_priors(lengths, corpus, 3), atol=1e-12)
 
 
+@pytest.mark.parametrize("table", ["transitions", "lambdas", "priors"])
+def test_check_rejects_nan_in_every_table(table):
+    params = hmm.init_params([120, 90, 200], sets([0, 1], [1, 2], [0, 1, 2]), 3, l_min=5.0)
+    getattr(params, table).flat[1] = np.nan
+    with pytest.raises(ValueError):
+        params.check()
+
+
 # ------------------------------------------------------------ reference twins
 # The per-table initializers and the looped refinement step that init_params
 # and update_refined replace: one table at a time, counting in Python loops.

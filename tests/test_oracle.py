@@ -15,8 +15,8 @@ class TestAnchorBest:
     def test_single_anchor_single_candidate(self):
         rng = np.random.default_rng(0)
         loglik = rng.standard_normal((1, 7))
-        graph = acv.build_graph(acv.AnchorSet([acv.Anchor(0, 3, 2, 4)]), 7)
-        seg, score = oracle.brute_force_anchor_best(graph, loglik,
+        anchors = acv.AnchorSet([acv.Anchor(0, 3, 2, 4)])
+        seg, score = oracle.brute_force_anchor_best(anchors, loglik,
                                                     two_class_params())
         assert seg.actions == (0,) and seg.lengths == (7,)
         expect = loglik.sum() + hmm.log_poisson_length(7, 4.0)
@@ -26,32 +26,30 @@ class TestAnchorBest:
         rng = np.random.default_rng(1)
         loglik = rng.standard_normal((2, 10))
         params = two_class_params()
-        graph = acv.build_graph(acv.AnchorSet([acv.Anchor(0, 2, 2, 3),
-                                               acv.Anchor(1, 7, 7, 8)]), 10)
-        assert graph.cut_domains == ((3, 6),)
+        anchors = acv.AnchorSet([acv.Anchor(0, 2, 2, 3), acv.Anchor(1, 7, 7, 8)])
+        assert acv.cut_domains(anchors, 10) == ((3, 6),)
         by_hand = []
         for cut in (3, 4, 5, 6):
             lengths = [cut + 1, 10 - cut - 1]
             by_hand.append((oracle.score_segmentation([0, 1], lengths, loglik,
                                                       [0, 1], params), lengths))
         best_score, best_lengths = max(by_hand, key=lambda p: p[0])
-        seg, score = oracle.brute_force_anchor_best(graph, loglik, params)
+        seg, score = oracle.brute_force_anchor_best(anchors, loglik, params)
         assert list(seg.lengths) == best_lengths
         np.testing.assert_allclose(score, best_score, atol=1e-12)
 
     def test_combination_cap_is_an_error(self):
         t_total = 9000
-        graph = acv.build_graph(acv.AnchorSet([acv.Anchor(0, 1, 0, 1),
-                                               acv.Anchor(1, 4500, 4500, 4500),
-                                               acv.Anchor(2, 8999, 8998, 8999)]),
-                                t_total)
+        anchors = acv.AnchorSet([acv.Anchor(0, 1, 0, 1),
+                                 acv.Anchor(1, 4500, 4500, 4500),
+                                 acv.Anchor(2, 8999, 8998, 8999)])
         loglik = np.zeros((3, t_total))
         params = hmm.HmmParams(np.array([[0.0, 0.5, 0.5],
                                          [0.5, 0.0, 0.5],
                                          [0.5, 0.5, 0.0]]),
                                np.full(3, 10.0), np.full(3, 0.5))
         with pytest.raises(ValueError):
-            oracle.brute_force_anchor_best(graph, loglik, params)
+            oracle.brute_force_anchor_best(anchors, loglik, params)
 
 
 class TestAllColor:
@@ -68,11 +66,11 @@ class TestAllColor:
         for trial in range(25):
             inst = oracle.random_instance(fork_rng(3, "dom", trial),
                                           max_frames=14, max_classes=3)
-            members = sorted({a.action for a in inst["graph"].anchors})
-            _, dp_score = acv.constrained_viterbi(inst["graph"], inst["loglik"],
+            members = sorted({a.action for a in inst["anchors"]})
+            _, dp_score = acv.constrained_viterbi(inst["anchors"], inst["loglik"],
                                                   inst["hmm"])
             _, free_score = oracle.brute_force_all_color(
-                inst["loglik"], members, inst["hmm"], inst["graph"].num_frames,
+                inst["loglik"], members, inst["hmm"], inst["num_frames"],
                 max_segments=min(5, len(members) + 1))
             assert free_score >= dp_score - 1e-9
             gaps.append(free_score - dp_score)
@@ -84,9 +82,8 @@ class TestAllColor:
         loglik[0, :5] = 0.0
         loglik[1, 5:] = 0.0
         params = two_class_params(lam=(5.0, 5.0))
-        graph = acv.build_graph(acv.AnchorSet([acv.Anchor(0, 2, 1, 3),
-                                               acv.Anchor(1, 7, 6, 8)]), 10)
-        seg_dp, dp_score = acv.constrained_viterbi(graph, loglik, params)
+        anchors = acv.AnchorSet([acv.Anchor(0, 2, 1, 3), acv.Anchor(1, 7, 6, 8)])
+        seg_dp, dp_score = acv.constrained_viterbi(anchors, loglik, params)
         seg_free, free_score = oracle.brute_force_all_color(loglik, [0, 1], params,
                                                             10, max_segments=3)
         assert seg_dp == seg_free
@@ -120,7 +117,7 @@ def test_random_instance_is_reproducible_and_well_formed():
         a = oracle.random_instance(fork_rng(seed, "instance"), 40, 3)
         b = oracle.random_instance(fork_rng(seed, "instance"), 40, 3)
         np.testing.assert_array_equal(a["loglik"], b["loglik"])
-        assert [x.action for x in a["graph"].anchors] \
-            == [x.action for x in b["graph"].anchors]
+        assert [x.action for x in a["anchors"]] \
+            == [x.action for x in b["anchors"]]
         a["hmm"].check()
-        assert a["graph"].num_frames <= 40
+        assert a["num_frames"] <= 40

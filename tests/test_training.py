@@ -177,20 +177,21 @@ class TestTrain:
         hp, mlp = fresh_params(videos)
         lam_before = hp.lambdas.copy()
         w1_before = mlp.W1.copy()
-        new_hp, new_mlp, stats = training.train(videos, hp, mlp, small_cfg())
+        new_hp, new_mlp, iterations = training.train(videos, hp, mlp, small_cfg())
         assert np.array_equal(hp.lambdas, lam_before)
         assert np.array_equal(mlp.W1, w1_before)
         assert not np.array_equal(new_hp.lambdas, lam_before)
         assert not np.array_equal(new_mlp.W1, w1_before)
-        assert stats.iterations == 10
+        assert iterations == 10
         new_hp.check()
 
     @pytest.mark.parametrize("iters", [0, 3])
     def test_iterations_count_from_start_iter(self, corpus, iters):
         _, videos = corpus
         hp, mlp = fresh_params(videos)
-        _, _, stats = training.train(videos, hp, mlp, small_cfg(iters=iters), start_iter=5)
-        assert stats.iterations == 5 + iters
+        _, _, iterations = training.train(videos, hp, mlp, small_cfg(iters=iters),
+                                          start_iter=5)
+        assert iterations == 5 + iters
 
     def test_split_run_matches_single_run(self, corpus):
         # 10 iterations straight vs 5 + resume-from-5: bit-identical params
