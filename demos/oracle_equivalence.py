@@ -5,7 +5,9 @@ Two checks run here.
 
 Equivalence: on random instances the anchor-constrained Viterbi must score
 exactly what exhaustive enumeration over anchor-compatible cut placements
-scores (same objective, same argmax up to ties broken identically).
+scores.  Both send float-equal scores to the earliest cuts, but they sum in
+different orders, so an exact tie that rounds differently may pick
+different argmaxes: the check compares scores.
 
 Dominance: enumeration over ALL segmentations that use each action at
 least once (any order, repeats allowed, more segments allowed) is a strict

@@ -180,7 +180,9 @@ def constrained_viterbi(anchor_set, loglik, hmm_params):
 
     loglik has a row per anchor's action, in sorted order, and a column per
     frame.  Returns (Segmentation, log-score); the score includes length,
-    likelihood and transition terms.  Ties go to the earliest cuts.
+    likelihood and transition terms.  Float-equal scores go to the
+    lexicographically earliest cuts; paths whose exact scores tie but round
+    differently may go either way.
     """
     loglik = np.asarray(loglik, dtype=np.float64)
     actions = [a.action for a in anchor_set]

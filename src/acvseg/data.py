@@ -177,7 +177,8 @@ def write_checkpoint(path, vocab, hmm_params, mlp_params, iteration):
 
 def read_checkpoint(path):
     """Returns (vocab, HmmParams, MlpParams, iteration).  A missing, extra or
-    malformed record, or a failed HmmParams.check, is a ValueError naming the file."""
+    malformed record, a non-finite MLP weight or a failed HmmParams.check is a
+    ValueError naming the file."""
     with open(path, "rb") as fh:
         try:
             iteration = int(_read_array(fh, "iteration", 0, (np.int64,)))
@@ -190,6 +191,9 @@ def read_checkpoint(path):
                                      for name, ndim in _MLP_RECORDS))
             if fh.read(1):
                 raise ValueError("trailing bytes after the last record")
+            for name, _ in _MLP_RECORDS:
+                if not np.all(np.isfinite(getattr(mlp_params, name))):
+                    raise ValueError("non-finite MLP weights in %s" % name)
             hmm_params.check()
         except ValueError as exc:
             raise ValueError("%s: %s" % (path, exc)) from None

@@ -6,29 +6,30 @@ domain, and a last cut pinned to frame T-1.  The search maximizes
 
     sum_n [ log p(l_n | lambda_n) + sum_{t in segment n} loglik[n, t] ]
 
-exactly.  Score ties are broken toward the lexicographically earliest cut
-vector.  `best_segmentation` adds the transition terms, constants for a
-fixed label sequence; training's anchor-constrained Viterbi and inference's
-alignment both score through it, with different cut domains.  The search
-is exhaustive over those domains: any restriction on the cuts reaches it
-only as tighter domains.
+exactly.  Paths whose scores are equal in floating point go to the
+lexicographically earliest cut vector; paths whose exact scores tie but
+round differently may go either way.  `best_segmentation` adds the
+transition terms, constants for a fixed label sequence; training's
+anchor-constrained Viterbi and inference's alignment both score through it,
+with different cut domains.  The search is exhaustive over those domains:
+any restriction on the cuts reaches it only as tighter domains.
 
 The DP runs on a leading batch axis: B problems of equal N and T that
-share their domains go through one backward pass and one traceback, and
+share their domains go through one backward pass and one pointer walk, and
 each gets the lengths and score bits it would get alone.  Training's
 anchor-constrained Viterbi is a batch of one; inference batches a video's
 distinct candidates of one length.
 
-Every stage k runs from the cut before it (frame -1 for k = 0) to a cut in
-its domain.  The backward pass is a max-plus product per stage pair over
-the (w1, w2) grid of their contiguous cut domains, which reads the Poisson
-log-length kernel as a slice of a padded poisson_table row, one row per
-stage of each problem.  When the batch's grids hold fewer than
-MONOTONE_MIN_CELLS cells in total, it is taken densely, in
+Stage k runs from cut k-1 to cut k, where cut -1 is frame -1 and cut N-1
+is frame T-1.  The backward pass takes stages N-1..0, each as a max-plus
+product over the (w1, w2) grid of its two contiguous cut domains that reads
+the Poisson log-length kernel as a slice of a padded poisson_table row, and
+keeps each row's leftmost argmax as a backpointer.  Stage 0's one row is
+the score, and the cuts follow the pointers from frame -1.  Below
+MONOTONE_MIN_CELLS cells over the batch a product is taken densely, in
 O(B * w1 * w2).  Otherwise the concavity of the kernel makes each row's
 leftmost argmax monotone, and a monotone divide and conquer finds the same
-row maxima in O(B * (w1 + w2) log w1).  Both steps give bit-identical
-scores, and the traceback from frame -1 is shared.
+row maxima and argmaxes, bit for bit, in O(B * (w1 + w2) log w1).
 """
 
 from __future__ import annotations
@@ -59,15 +60,19 @@ def poisson_table(lambdas, max_len):
 def _row_max_dense(profile, q, w1):
     """Row maxima of each problem's stage grid
     M[b, i1, i2] = profile[b, w1-1-i1+i2] + q[b, i2], read through a
-    zero-copy strided view of the profiles; (B, w1)."""
+    zero-copy strided view of the profiles, and each row's leftmost argmax
+    column i2; two (B, w1) arrays."""
     step_b, step_l = profile.strides
     grid = as_strided(profile[:, w1 - 1:], shape=(profile.shape[0], w1, q.shape[1]),
                       strides=(step_b, -step_l, step_l), writeable=False)
-    return (grid + q[:, None, :]).max(axis=2)
+    cells = grid + q[:, None, :]
+    arg = cells.argmax(axis=2)
+    return cells.ravel().take(arg + np.arange(0, cells.size, q.shape[1]).reshape(arg.shape)), arg
 
 
 def _row_max_monotone(profile, q, w1):
-    """The row maxima of _row_max_dense, found without visiting every cell.
+    """The row maxima and argmaxes of _row_max_dense, found without visiting
+    every cell.
 
     The Poisson log-length profile is concave, so each M[b] is inverse-Monge
     and the leftmost argmax of row i1 never lies left of that of row i1-1
@@ -77,17 +82,18 @@ def _row_max_monotone(profile, q, w1):
     bracketing rows, one level of the recursion at a time over all open row
     blocks of the whole batch.  Rows are numbered b*w1 + i1 and columns
     b*w2 + i2, so a block never mixes problems.  Every maximum is taken over
-    a column subset that holds the row's argmax, so it equals the dense
-    maximum bit for bit.
+    a column subset that holds the row's leftmost argmax, so maximum and
+    argmax equal the dense ones bit for bit.
     """
     n_batch, w2 = q.shape
     flat_p, flat_q = profile.ravel(), q.ravel()
     stride = profile.shape[1] - w2 + w1
     out = np.empty(n_batch * w1)
+    out_arg = np.empty(n_batch * w1, dtype=np.int64)
     # open blocks: rows lo..hi, to be searched over columns clo..chi
     lo = np.arange(0, n_batch * w1, w1)
     hi = lo + (w1 - 1)
-    clo = np.arange(0, n_batch * w2, w2)
+    col0 = clo = np.arange(0, n_batch * w2, w2)
     chi = clo + (w2 - 1)
     while lo.size:
         mid = (lo + hi) // 2
@@ -108,12 +114,13 @@ def _row_max_monotone(profile, q, w1):
         arg = hits[hits.searchsorted(starts)] - starts + clo
         empty = best == NEG_INF
         arg[empty] = chi[empty]
+        out_arg[mid] = arg
         left, right = mid > lo, mid < hi
         lo = np.concatenate([lo[left], mid[right] + 1])
         hi = np.concatenate([mid[left] - 1, hi[right]])
         clo, chi = (np.concatenate([clo[left], arg[right]]),
                     np.concatenate([arg[left], chi[right]]))
-    return out.reshape(n_batch, w1)
+    return out.reshape(n_batch, w1), out_arg.reshape(n_batch, w1) - col0[:, None]
 
 
 def best_cuts(stage_loglik, stage_lambdas, domains):
@@ -126,11 +133,11 @@ def best_cuts(stage_loglik, stage_lambdas, domains):
         non-decreasing and lie inside [0, T-2].  Every constraint on the
         cuts is expressed here; the last cut is pinned to [T-1].
 
-    A backward pass over stages N-1..1, then a traceback over stages 0..N-1
-    from frame -1, both over the whole batch at once; the best stage-0
-    candidate is the score.  A stage pair takes the monotone step when the
-    batch's grids hold at least MONOTONE_MIN_CELLS cells in total.  Every
-    problem gets the lengths and score bits it would get alone.
+    A backward pass over stages N-1..0 that keeps backpointers, then a walk
+    along them from frame -1, both over the whole batch at once; stage 0's
+    maximum is the score.  A stage takes the monotone step when the batch's
+    grids hold at least MONOTONE_MIN_CELLS cells in total.  Every problem
+    gets the lengths and score bits it would get alone.
 
     Returns (lengths, score): an (N,) array and a float, or a (B, N) array
     and a (B,) array for batched input.  Raises ValueError when some
@@ -156,46 +163,39 @@ def best_cuts(stage_loglik, stage_lambdas, domains):
     for k, (lo, hi) in enumerate(domains):
         if not (0 <= lo <= hi <= t_total - 2):
             raise ValueError("cut domain %d out of range" % k)
-    doms = [np.arange(lo, hi + 1) for lo, hi in domains] + [np.array([t_total - 1])]
+    # doms[k], doms[k + 1]: the cuts before and after stage k
+    doms = [np.arange(lo, hi + 1) for lo, hi in [(-1, -1), *domains, (t_total - 1, t_total - 1)]]
 
     # pois[b, k]: the table row of stage k of problem b
     width = 2 * t_total + 1
     pois = poisson_table(lam.reshape(-1), t_total).reshape(n_batch, n_seg, width)
 
-    # suffix[k][b, i]: best score of stages k+1..N-1 given cut k at doms[k][i]
-    suffix = [None] * (n_seg - 1) + [np.zeros((n_batch, 1))]
-    for k in range(n_seg - 1, 0, -1):
-        d0, d1 = doms[k - 1], doms[k]
+    # suffix[b, i]: best score of stages k..N-1 given cut k-1 at doms[k][i];
+    # back[k][b, i]: the index in doms[k + 1] of cut k on that best path
+    suffix = np.zeros((n_batch, 1))
+    back = [None] * n_seg
+    for k in range(n_seg - 1, -1, -1):
+        d0, d1 = doms[k], doms[k + 1]
         w1, w2 = d0.shape[0], d1.shape[0]
         # pois[b, k, T + d1[i2] - d0[i1]] is Toeplitz: row i1 reads the
         # profile from offset (w1-1) - i1.  Free cuts are <= T-2, so base >= 2.
         base = t_total + int(d1[0]) - int(d0[-1])
         profile = pois[:, k, base: base + w1 - 1 + w2]
-        q = cs[:, k, d1[0] + 1: d1[-1] + 2] + suffix[k]
+        q = cs[:, k, d1[0] + 1: d1[-1] + 2] + suffix
         # the row-constant cs term is pulled out of the max
         step = (_row_max_monotone if n_batch * w1 * w2 >= MONOTONE_MIN_CELLS
                 else _row_max_dense)
-        suffix[k - 1] = step(profile, q, w1) - cs[:, k, d0[0] + 1: d0[-1] + 2]
+        best, back[k] = step(profile, q, w1)
+        suffix = best - cs[:, k, d0[0] + 1: d0[-1] + 2]
+    score = suffix[:, 0]
+    if not np.all(np.isfinite(score)):
+        raise ValueError("no legal path through the cut domains")
 
-    # flat row offsets for stage k of problem b: pois_at - prev + j2 reads
-    # length j2 - prev, cs_at + prev reads cs[b, k, prev + 1]
-    pois_flat, cs_flat = pois.reshape(-1), cs.reshape(-1)
-    row = np.arange(n_batch * n_seg).reshape(n_batch, n_seg)
-    pois_at = row * width + t_total
-    cs_at = row * (t_total + 1) + 1
-    cuts = np.empty((n_batch, n_seg + 1), dtype=np.int64)
-    cuts[:, 0] = -1
+    cuts = np.full((n_batch, n_seg + 1), -1)
+    at, rows = np.zeros(n_batch, dtype=np.int64), np.arange(n_batch)
     for k in range(n_seg):
-        prev, j2 = cuts[:, k], doms[k]
-        cand = (pois_flat[(pois_at[:, k] - prev)[:, None] + j2]
-                + cs[:, k, j2[0] + 1: j2[-1] + 2]
-                - cs_flat[cs_at[:, k] + prev][:, None]
-                + suffix[k])
-        if k == 0:
-            score = cand.max(axis=1)
-            if not np.all(np.isfinite(score)):
-                raise ValueError("no legal path through the cut domains")
-        cuts[:, k + 1] = j2[np.argmax(cand, axis=1)]
+        at = back[k][rows, at]
+        cuts[:, k + 1] = doms[k + 1][at]
     lengths = np.diff(cuts, axis=1)
     if single:
         return lengths[0], float(score[0])

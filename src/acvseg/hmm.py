@@ -22,7 +22,7 @@ from scipy.special import gammaln
 @dataclass
 class HmmParams:
     """transitions: (n, n) row-stochastic (all-zero rows allowed for classes
-    with no observed successor); lambdas: (n,) mean lengths >= 1 frame;
+    with no observed successor); lambdas: (n,) finite mean lengths >= 1 frame;
     priors: (n,) footage fractions in [0, 1], not normalized across classes."""
 
     transitions: np.ndarray
@@ -56,8 +56,8 @@ class HmmParams:
         if np.any(bad):
             raise ValueError("transition rows with outgoing mass must sum to 1: rows %s"
                              % (np.flatnonzero(bad).tolist(),))
-        if not np.all(self.lambdas >= 1.0 - tol):
-            raise ValueError("mean lengths must be >= 1 frame")
+        if not np.all((self.lambdas >= 1.0 - tol) & (self.lambdas < np.inf)):
+            raise ValueError("mean lengths must be finite and >= 1 frame")
         if not np.all((self.priors >= -tol) & (self.priors <= 1.0 + tol)):
             raise ValueError("priors must lie in [0, 1]")
 

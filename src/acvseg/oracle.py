@@ -3,7 +3,9 @@
 Everything here exists to check the dynamic programs, never to run in the
 training or inference paths.  Both oracles score candidates through the one
 shared `score_segmentation`, enumerate in lexicographic order, and keep
-strictly better candidates only, matching the DP's earliest-cut tie-break.
+strictly better candidates only, so float-equal scores go to the earliest
+cuts, as in the DP.  The two sum their terms in different orders, so paths
+whose exact scores tie but round differently may be broken differently.
 Size caps are hard errors, not silent truncations.
 """
 

@@ -36,6 +36,19 @@ class TrainConfig:
     seed: int = 0
     log_every: int = 1000
 
+    def __post_init__(self):
+        if not self.iters >= 0:
+            raise ValueError("iters must be >= 0, got %r" % (self.iters,))
+        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+            raise ValueError("alpha must be a positive finite number, got %r" % (self.alpha,))
+        if not self.tau >= 0:
+            raise ValueError("tau must be >= 0, got %r" % (self.tau,))
+        for name in ("lr", "lr_after", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        if not self.log_every >= 1:
+            raise ValueError("log_every must be >= 1, got %r" % (self.log_every,))
+
     def lr_at(self, iteration):
         return self.lr if iteration < self.lr_drop_at else self.lr_after
 
@@ -109,8 +122,6 @@ def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
     """Run cfg.iters iterations starting at start_iter; returns the updated
     (hmm_params, mlp_params, start_iter + cfg.iters), the last being the
     count a checkpoint records.  Videos must carry in-memory features."""
-    if cfg.iters < 0:
-        raise ValueError("iters must be >= 0, got %d" % cfg.iters)
     if not videos:
         raise ValueError("empty corpus")
     hmm_params = hmm_params.copy()

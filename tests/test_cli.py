@@ -390,6 +390,26 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "nan", "alpha must be a positive finite number, got nan"),
+        ("--alpha", "0", "alpha must be a positive finite number, got 0.0"),
+        ("--tau", "-1", "tau must be >= 0, got -1"),
+        ("--lr", "nan", "lr must be finite, got nan"),
+        ("--lr-after", "inf", "lr_after must be finite, got inf"),
+        ("--beta", "nan", "beta must be finite, got nan")])
+    def test_bad_train_setting_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys,
+                                                          flag, value, message):
+        _, corpus, init, _ = pipeline
+        out, dump = tmp_path / "bad.ckpt", tmp_path / "dump"
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"),
+                        "--init", str(init), "--out", str(out), "--iters", "0",
+                        "--dump-dir", str(dump), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+        assert not out.exists() and not dump.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
         ("--epochs", "-3", "epochs must be >= 0, got -3"),
         ("--hidden", "0", "n_hidden must be >= 1, got 0"),
         ("--hidden", "-1", "n_hidden must be >= 1, got -1"),

@@ -370,14 +370,16 @@ class TestCheckpoint:
         lambda: b"".join(huge_header_bytes((999999999999, 32)) + x.tobytes() if i == 5
                          else npy_bytes(x) for i, x in enumerate(checkpoint_records())),
         lambda: checkpoint_bytes(lambdas=np.array([np.nan, 5.0, 5.0])),
+        lambda: checkpoint_bytes(lambdas=np.array([np.inf, 5.0, 5.0])),
         lambda: checkpoint_bytes(lambdas=np.array([0.5, 5.0, 5.0])),
         lambda: checkpoint_bytes(priors=np.array([1.5, 0.5, 0.5])),
         lambda: checkpoint_bytes(transitions=small_params()[1].transitions * [[0.5], [1], [1]]),
+        lambda: checkpoint_bytes(W1=small_params()[2].W1 * [[np.nan], [1], [1], [1], [1]]),
     ], ids=["empty", "old-text", "truncated-header", "truncated-data", "trailing-bytes", "npz",
             "features-npy", "float-iteration", "negative-iteration", "float32-table", "1-d-W1",
             "inconsistent-transitions", "empty-vocabulary", "duplicate-vocabulary",
-            "missing-last-record", "huge-shape", "nan-lambda", "lambda-below-one",
-            "prior-above-one", "half-mass-transition-row"])
+            "missing-last-record", "huge-shape", "nan-lambda", "inf-lambda",
+            "lambda-below-one", "prior-above-one", "half-mass-transition-row", "nan-W1"])
     def test_unreadable_checkpoint_rejected_naming_the_path(self, tmp_path, make):
         path = tmp_path / "x.ckpt"
         path.write_bytes(make())

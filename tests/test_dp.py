@@ -57,9 +57,12 @@ def test_monotone_row_max_equals_dense_bit_for_bit():
         if n_batch > 1 and trial % 2:
             qs[int(rng.integers(n_batch))][:] = dp.NEG_INF  # one problem's rows all -inf
         profile, q = np.stack(profiles), np.stack(qs)
-        got = dp._row_max_monotone(profile, q, w1)
-        assert got.shape == (n_batch, w1)
-        np.testing.assert_array_equal(got, dp._row_max_dense(profile, q, w1))
+        got, got_arg = dp._row_max_monotone(profile, q, w1)
+        want, want_arg = dp._row_max_dense(profile, q, w1)
+        assert got.shape == got_arg.shape == (n_batch, w1)
+        np.testing.assert_array_equal(got, want)
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(got_arg[finite], want_arg[finite])
 
 
 def random_batch(rng, n_batch, n_seg, t_total):
@@ -134,6 +137,99 @@ def test_batched_best_cuts_equals_per_problem_calls(monkeypatch, min_cells):
         assert [(tuple(l), np.float64(s).tobytes())
                 for l, s in zip(lengths, scores)] == expect
     assert n_single > 10 and n_infeasible > 10
+
+
+# ------------------------------------------------------------ reference twin
+# best_cuts as it was before it kept backpointers: the same backward pass
+# over stages N-1..1, keeping every stage's suffix rows, then a traceback
+# that scores each stage's candidates again in its own float order.
+
+def reference_best_cuts(stage_loglik, stage_lambdas, domains):
+    loglik = np.asarray(stage_loglik, dtype=np.float64)
+    lam = np.asarray(stage_lambdas, dtype=np.float64)
+    n_batch, n_seg, t_total = loglik.shape
+    cs = np.zeros((n_batch, n_seg, t_total + 1))
+    np.cumsum(loglik, axis=2, out=cs[:, :, 1:])
+    if not np.all(np.isfinite(cs[:, :, -1])):
+        raise ValueError("non-finite frame log-likelihoods")
+    doms = [np.arange(lo, hi + 1) for lo, hi in domains] + [np.array([t_total - 1])]
+    width = 2 * t_total + 1
+    pois = dp.poisson_table(lam.reshape(-1), t_total).reshape(n_batch, n_seg, width)
+    suffix = [None] * (n_seg - 1) + [np.zeros((n_batch, 1))]
+    for k in range(n_seg - 1, 0, -1):
+        d0, d1 = doms[k - 1], doms[k]
+        w1, w2 = d0.shape[0], d1.shape[0]
+        base = t_total + int(d1[0]) - int(d0[-1])
+        profile = pois[:, k, base: base + w1 - 1 + w2]
+        grid = np.stack([profile[:, w1 - 1 - i1: w1 - 1 - i1 + w2] for i1 in range(w1)], 1)
+        q = cs[:, k, d1[0] + 1: d1[-1] + 2] + suffix[k]
+        suffix[k - 1] = (grid + q[:, None, :]).max(axis=2) - cs[:, k, d0[0] + 1: d0[-1] + 2]
+    pois_flat, cs_flat = pois.reshape(-1), cs.reshape(-1)
+    row = np.arange(n_batch * n_seg).reshape(n_batch, n_seg)
+    pois_at = row * width + t_total
+    cs_at = row * (t_total + 1) + 1
+    cuts = np.empty((n_batch, n_seg + 1), dtype=np.int64)
+    cuts[:, 0] = -1
+    for k in range(n_seg):
+        prev, j2 = cuts[:, k], doms[k]
+        cand = (pois_flat[(pois_at[:, k] - prev)[:, None] + j2]
+                + cs[:, k, j2[0] + 1: j2[-1] + 2]
+                - cs_flat[cs_at[:, k] + prev][:, None]
+                + suffix[k])
+        if k == 0:
+            score = cand.max(axis=1)
+            if not np.all(np.isfinite(score)):
+                raise ValueError("no legal path through the cut domains")
+        cuts[:, k + 1] = j2[np.argmax(cand, axis=1)]
+    return np.diff(cuts, axis=1), score
+
+
+@pytest.mark.parametrize("min_cells", [10 ** 12, 0], ids=["dense", "monotone"])
+def test_best_cuts_matches_the_rescoring_traceback(monkeypatch, min_cells):
+    monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
+    rng = np.random.default_rng(16)
+    n_solved = 0
+    for trial in range(1000):
+        n_seg = int(rng.integers(1, 7))
+        t_total = int(rng.integers(max(2, n_seg), 90))
+        n_batch = int(rng.integers(1, 7))
+        if trial % 2:
+            loglik = rng.standard_normal((n_batch, n_seg, t_total)) * rng.uniform(0.1, 3.0)
+        else:  # stage rows of log-Dirichlet frame posteriors over a few classes
+            n_classes = int(rng.integers(2, 8))
+            post = np.log(rng.dirichlet(np.full(n_classes, rng.uniform(0.5, 2.0)),
+                                        size=(n_batch, t_total)))
+            labels = rng.integers(n_classes, size=(n_batch, n_seg))
+            loglik = np.take_along_axis(post, labels[:, None, :], axis=2).transpose(0, 2, 1)
+        lam = rng.uniform(1.0, 2.0 * t_total / n_seg + 1.0, size=(n_batch, n_seg))
+        domains = random_domains(rng, n_seg, t_total)
+        try:
+            want = reference_best_cuts(loglik, lam, domains)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                dp.best_cuts(loglik, lam, domains)
+            continue
+        n_solved += 1
+        lengths, scores = dp.best_cuts(loglik, lam, domains)
+        np.testing.assert_array_equal(lengths, want[0])
+        np.testing.assert_allclose(scores, want[1], rtol=1e-12, atol=0)
+    assert n_solved > 500
+
+
+@pytest.mark.parametrize("min_cells", [10 ** 12, 0], ids=["dense", "monotone"])
+@pytest.mark.parametrize("t_total", [9, 21, 101, 601])
+def test_float_equal_paths_go_to_the_earliest_cut(monkeypatch, min_cells, t_total):
+    # with zero frame scores and one lambda, lengths (a, T-a) and (T-a, a)
+    # sum the same two log-Poisson terms and tie bit for bit
+    monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
+    loglik, lam = np.zeros((2, t_total)), np.full(2, t_total / 2)
+    domains = ((0, t_total - 2),)
+    earliest = [(t_total - 1) // 2, (t_total + 1) // 2]
+    lengths, _ = dp.best_cuts(loglik, lam, domains)
+    assert lengths.tolist() == earliest
+    other = np.random.default_rng(t_total).standard_normal(loglik.shape)
+    lengths, _ = dp.best_cuts(np.stack([loglik, other, loglik]), np.stack([lam] * 3), domains)
+    assert lengths[[0, 2]].tolist() == [earliest] * 2
 
 
 @pytest.mark.parametrize("min_cells", [10 ** 12, 0], ids=["dense", "monotone"])

@@ -79,6 +79,13 @@ class TestTrainConfig:
         assert cfg.lr_at(100) == 0.001
         assert cfg.lr_at(5000) == 0.001
 
+    @pytest.mark.parametrize("field, value", [
+        ("iters", -1), ("alpha", float("inf")), ("tau", -1), ("lr", float("nan")),
+        ("lr_after", float("-inf")), ("beta", float("nan")), ("log_every", 0)])
+    def test_bad_field_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match="^%s must be" % field):
+            TrainConfig(**{field: value})
+
 
 class TestPseudoGroundTruth:
     def test_output_is_a_valid_covering(self, corpus):
