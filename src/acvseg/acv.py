@@ -124,7 +124,9 @@ def select_anchors(saliency, actions, lambdas, alpha):
     order = np.argsort(-s, axis=1, kind="stable")
 
     while True:
-        radius = np.floor(alpha * lambdas / 2.0).astype(np.int64)
+        # any radius >= T-1 spans the video, so clamping at T changes no anchor
+        with np.errstate(over="ignore"):
+            radius = np.minimum(np.floor(alpha * lambdas / 2.0), t_total).astype(np.int64)
         placed = _place(s, order, radius, t_total)
         if placed is not None:
             return AnchorSet(Anchor(actions[i], int(c),

@@ -65,7 +65,8 @@ def cmd_train(args):
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for video in videos:
-            seg, anchors, _ = training.pseudo_ground_truth(mlp, hmm_params, video, cfg)
+            seg, anchors, _ = training.pseudo_ground_truth(
+                hmm_params, scorer.forward(mlp, video.features), video.action_set, cfg)
             acv.write_acv_dump(os.path.join(args.dump_dir, video.video_id + ".txt"),
                                anchors, seg)
     print("wrote %s" % args.out)

@@ -129,9 +129,10 @@ def best_cuts(stage_loglik, stage_lambdas, domains):
     stage_loglik: (N, T) per-stage frame log-likelihood rows, or (B, N, T)
         for a batch of B problems that share the domains.
     stage_lambdas: (N,) Poisson means per stage, or (B, N).
-    domains: N-1 inclusive (lo, hi) ranges for the free cuts; must be
-        non-decreasing and lie inside [0, T-2].  Every constraint on the
-        cuts is expressed here; the last cut is pinned to [T-1].
+    domains: N-1 inclusive (lo, hi) ranges for the free cuts, each inside
+        [0, T-2], in any order: a stage of length <= 0 scores -inf, so ranges
+        that overlap or run backwards only remove paths.  Every constraint
+        on the cuts is expressed here; the last cut is pinned to [T-1].
 
     A backward pass over stages N-1..0 that keeps backpointers, then a walk
     along them from frame -1, both over the whole batch at once; stage 0's
@@ -207,9 +208,9 @@ def best_segmentation(sequences, loglik, classes, hmm_params, domains):
     segment HMM: lengths, frame likelihoods and transitions.
 
     loglik rows follow the sorted `classes`, as in oracle.score_segmentation;
-    domains are those of best_cuts, shared by every sequence, which all run
-    through one batched best_cuts.  Returns one (Segmentation, log-score)
-    per sequence, in order.
+    domains are ranges inside [0, T-2] in any order, as for best_cuts,
+    shared by every sequence, which all run through one batched best_cuts.
+    Returns one (Segmentation, log-score) per sequence, in order.
     """
     sequences = [[int(c) for c in actions] for actions in sequences]
     seqs = np.array(sequences, dtype=np.int64)

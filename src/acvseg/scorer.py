@@ -1,15 +1,16 @@
 """Two-layer frame scorer with hand-derived gradients.
 
-One hidden ReLU layer feeds per-class logits.  The same logits are read two
-ways: sigmoids give independent per-class scores f_c used for saliency and
-multi-instance pretraining, a softmax gives the posterior p(c | x_t) used
-for the HMM likelihood and the cross-entropy loss.  All gradients are
-analytic; there is no autodiff anywhere.
+One hidden ReLU layer feeds per-class logits.  `forward` returns one
+FrameScores that every consumer reads: its sigmoids score each class for
+saliency and multi-instance pretraining, its softmax is the posterior
+p(c | x_t) for the HMM likelihood and the cross-entropy loss, and `backward`
+reads its input and hidden layer.  All gradients are analytic, no autodiff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -66,25 +67,25 @@ class MlpParams:
 
 @dataclass(frozen=True, eq=False)
 class FrameScores:
-    """Per-frame class scores, all (n_classes, T).
+    """One forward pass: the (T, dim) input x, the (n_hidden, T) post-ReLU
+    hidden layer and the (n_classes, T) logits.  log_sigmoid and log_softmax
+    read the logits stably, each computed when first read."""
 
-    log_sigmoid and log_softmax are two readings of the same logits,
-    computed stably; they are the forms consumed downstream.
-    """
-
+    x: np.ndarray
+    hidden: np.ndarray
     logits: np.ndarray
-    log_sigmoid: np.ndarray
-    log_softmax: np.ndarray
+
+    @cached_property
+    def log_sigmoid(self):
+        return -np.logaddexp(0.0, -self.logits)
+
+    @cached_property
+    def log_softmax(self):
+        return self.logits - logsumexp(self.logits, axis=0, keepdims=True)
 
 
-@dataclass(frozen=True, eq=False)
-class ForwardCache:
-    x: np.ndarray  # (T, dim)
-    h: np.ndarray  # (n_hidden, T) post-ReLU; h > 0 exactly where the pre-activation is
-
-
-def _hidden_and_logits(params, x):
-    """(x as a (T, dim) array, post-ReLU hidden layer, logits)."""
+def forward(params, x):
+    """Score every frame; x is (T, dim) or a FrameFeatures."""
     x = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError("features must be (T, %d)" % params.dim)
@@ -92,28 +93,17 @@ def _hidden_and_logits(params, x):
     h = params.W1 @ x.T
     h += params.b1[:, None]
     np.maximum(h, 0.0, out=h)
-    return x, h, params.W2 @ h + params.b2[:, None]
+    return FrameScores(x, h, params.W2 @ h + params.b2[:, None])
 
 
-def forward(params, x, want_cache=False):
-    """Score every frame; x is (T, dim) or a FrameFeatures."""
-    x, h, logits = _hidden_and_logits(params, x)
-    log_sig = -np.logaddexp(0.0, -logits)
-    log_soft = logits - logsumexp(logits, axis=0, keepdims=True)
-    scores = FrameScores(logits, log_sig, log_soft)
-    if want_cache:
-        return scores, ForwardCache(x, h)
-    return scores
-
-
-def backward(params, cache, d_logits):
-    """Gradients of any loss given its gradient at the logits."""
+def backward(params, x, hidden, d_logits):
+    """Gradients of any loss from its gradient at the logits of frames x."""
     d_b2 = d_logits.sum(axis=1)
-    d_w2 = d_logits @ cache.h.T
+    d_w2 = d_logits @ hidden.T
     d_z1 = params.W2.T @ d_logits  # d_h until masked by the ReLU in place
-    d_z1 *= cache.h > 0.0
+    d_z1 *= hidden > 0.0
     d_b1 = d_z1.sum(axis=1)
-    d_w1 = d_z1 @ cache.x
+    d_w1 = d_z1 @ x
     return {"W1": d_w1, "b1": d_b1, "W2": d_w2, "b2": d_b2}
 
 
@@ -184,10 +174,10 @@ def mil_loss_and_grads(params, x, action_set):
     """Video-level multi-instance objective: per class, binary cross-entropy
     between the max-pooled sigmoid score and set membership, averaged over
     classes.  The gradient flows through the max-pooled frame only, so the
-    backward pass runs over those (at most n_classes) frames alone.  Only the
-    sigmoid reading of the logits is computed."""
-    x, h, logits = _hidden_and_logits(params, x)
-    f = expit(logits)
+    backward pass runs over those (at most n_classes) frames alone.  It reads
+    the logits only, so neither log reading is computed."""
+    scores = forward(params, x)
+    f = expit(scores.logits)
     n_classes = f.shape[0]
     best_t = f.argmax(axis=1)
     pooled = f[np.arange(n_classes), best_t]
@@ -197,18 +187,19 @@ def mil_loss_and_grads(params, x, action_set):
     frames, col = np.unique(best_t, return_inverse=True)
     d_logits = np.zeros((n_classes, frames.shape[0]))
     d_logits[np.arange(n_classes), col] = (pooled - y) / n_classes
-    pooled_cache = ForwardCache(x[frames], h[:, frames])
-    return loss, backward(params, pooled_cache, d_logits)
+    return loss, backward(params, scores.x[frames], scores.hidden[:, frames], d_logits)
 
 
 def mil_pretrain(params, corpus, epochs, lr, seed):
     """SGD over shuffled videos on the multi-instance objective.
 
     corpus: sequence of (features, action_set) pairs.  Zero epochs returns
-    an unchanged copy; fewer are an error.
+    an unchanged copy; fewer, or a non-finite lr, are an error.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0, got %d" % epochs)
+    if not np.isfinite(lr):
+        raise ValueError("lr must be finite, got %r" % (lr,))
     params = params.copy()
     corpus = list(corpus)
     if not corpus:

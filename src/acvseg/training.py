@@ -3,9 +3,10 @@
 Each iteration picks one training video at random, generates pseudo ground
 truth for it with the anchor-constrained Viterbi under the current model,
 nudges the HMM toward that pseudo ground truth at rate 1/V, and takes one
-SGD step on the scorer's cross-entropy plus diversity objective.  All
-randomness is re-derived per iteration from (seed, iteration), so a run can
-be checkpointed and resumed bit-identically.
+SGD step on the scorer's cross-entropy plus diversity objective.  Both
+steps read the iteration's one scorer.forward result.  All randomness is
+re-derived per iteration from (seed, iteration), so a run can be
+checkpointed and resumed bit-identically.
 """
 
 from __future__ import annotations
@@ -82,15 +83,12 @@ def load_corpus(manifest_path, with_labels=False):
     return vocab, videos
 
 
-def pseudo_ground_truth(mlp_params, hmm_params, video, cfg, scores=None):
-    """Run the anchor pipeline on one video under the current model; `scores`
-    is scorer.forward(mlp_params, video.features) when the caller already
-    has it.  Returns (segmentation, anchors, score)."""
-    if scores is None:
-        scores = scorer.forward(mlp_params, video.features)
-    aset = video.action_set
-    sal = acv.compute_saliency(scores, aset, cfg.tau)
-    classes = aset.as_array()
+def pseudo_ground_truth(hmm_params, scores, action_set, cfg):
+    """Run the anchor pipeline on one video; `scores` is scorer.forward of
+    the current model on its features.  Returns (segmentation, anchors,
+    score)."""
+    sal = acv.compute_saliency(scores, action_set, cfg.tau)
+    classes = action_set.as_array()
     anchors = acv.select_anchors(sal, classes, hmm_params.lambdas[classes], cfg.alpha)
     loglik = hmm_mod.log_frame_likelihood(scores.log_softmax[classes],
                                           hmm_params.priors[classes])
@@ -98,13 +96,12 @@ def pseudo_ground_truth(mlp_params, hmm_params, video, cfg, scores=None):
     return seg, anchors, score
 
 
-def loss_and_grads(mlp_params, scored, action_set, pseudo_labels, tau, beta):
+def loss_and_grads(mlp_params, scores, action_set, pseudo_labels, tau, beta):
     """Cross-entropy on the pseudo labels plus beta times saliency diversity,
-    with gradients for every scorer tensor.  `scored` is the (scores, cache)
-    pair of scorer.forward(mlp_params, features, want_cache=True).  The
-    diversity term reaches the logits through the saliency construction;
-    the per-frame min is handled by a subgradient at the worst class."""
-    scores, cache = scored
+    with gradients for every scorer tensor.  `scores` is
+    scorer.forward(mlp_params, features).  The diversity term reaches the
+    logits through the saliency construction; the per-frame min is handled
+    by a subgradient at the worst class."""
     ce, d_logits = scorer.cross_entropy_loss(scores, pseudo_labels)
     div = 0.0
     if beta != 0.0 and len(action_set) > 1:
@@ -114,7 +111,7 @@ def loss_and_grads(mlp_params, scored, action_set, pseudo_labels, tau, beta):
         rows = action_set.as_array()
         # d log sigmoid(z) / dz = 1 - sigmoid(z)
         d_logits[rows] += beta * d_logf * (1.0 - expit(scores.logits[rows]))
-    grads = scorer.backward(mlp_params, cache, d_logits)
+    grads = scorer.backward(mlp_params, scores.x, scores.hidden, d_logits)
     return ce + beta * div, ce, div, grads
 
 
@@ -133,12 +130,11 @@ def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
         rng = fork_rng(cfg.seed, "train", i)
         video = videos[int(rng.integers(n_videos))]
         # one forward per iteration: the params do not change before the SGD step
-        scored = scorer.forward(mlp_params, video.features, want_cache=True)
-        seg, _, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg,
-                                        scores=scored[0])
+        scores = scorer.forward(mlp_params, video.features)
+        seg, _, _ = pseudo_ground_truth(hmm_params, scores, video.action_set, cfg)
         hmm_params = hmm_mod.update_refined(hmm_params, seg, n_videos)
         pseudo = expand_segmentation(seg)
-        _, ce, div, grads = loss_and_grads(mlp_params, scored, video.action_set,
+        _, ce, div, grads = loss_and_grads(mlp_params, scores, video.action_set,
                                            pseudo, cfg.tau, cfg.beta)
         mlp_params = scorer.sgd_step(mlp_params, grads, cfg.lr_at(i))
         ce_sum += ce
@@ -157,7 +153,8 @@ def probe_anchor_iod(mlp_params, hmm_params, probe_videos, cfg):
     """Mean anchor IoD against hidden labels on a fixed probe; diagnostic only."""
     values = []
     for video in probe_videos:
-        _, anchors, _ = pseudo_ground_truth(mlp_params, hmm_params, video, cfg)
+        scores = scorer.forward(mlp_params, video.features)
+        _, anchors, _ = pseudo_ground_truth(hmm_params, scores, video.action_set, cfg)
         gt_segs = metrics.labeling_to_segments(video.gt_labels)
         values.append(metrics.anchor_iod(anchors, gt_segs))
     return float(np.mean(values))

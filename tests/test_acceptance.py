@@ -59,7 +59,8 @@ def test_criterion_2_acv_outputs_are_always_valid(tmp_path):
     cfg = TrainConfig(alpha=0.6, beta=0.4, tau=8)
     valid = 0
     for video in videos:
-        seg, _, _ = training.pseudo_ground_truth(mlp, hp, video, cfg)
+        scores = scorer.forward(mlp, video.features)
+        seg, _, _ = training.pseudo_ground_truth(hp, scores, video.action_set, cfg)
         valid += validate_segmentation(seg, video.features.num_frames,
                                        video.action_set)
     report(2, "all-color-validity", valid == 1000, "%d/1000 valid" % valid)
@@ -104,14 +105,13 @@ def test_criterion_4_gradients_match_finite_differences():
                                rng.standard_normal((n_classes, 4)),
                                0.3 * rng.standard_normal(n_classes))
         total, _, _, grads = training.loss_and_grads(
-            mlp, scorer.forward(mlp, x, want_cache=True), members, pseudo, tau=3, beta=beta)
+            mlp, scorer.forward(mlp, x), members, pseudo, tau=3, beta=beta)
 
         def loss_at(params):
             # the forward pass runs inside each evaluation, so the check
             # differentiates through it as well
             val, _, _, _ = training.loss_and_grads(
-                params, scorer.forward(params, x, want_cache=True), members, pseudo,
-                tau=3, beta=beta)
+                params, scorer.forward(params, x), members, pseudo, tau=3, beta=beta)
             return val
 
         eps = 1e-6

@@ -165,6 +165,18 @@ class TestSelectAnchors:
         (a,) = acv.select_anchors(s, [0], np.array([30.0]), alpha=1.0)
         assert a.start == 0 and a.end <= 9
 
+    @pytest.mark.parametrize("alpha", [1e18, 1e300])
+    def test_huge_alpha_places_valid_anchors_without_overflow(self, alpha):
+        s = np.random.default_rng(17).random((3, 60))
+        (a,) = acv.select_anchors(s[:1], [4], np.array([20.0]), alpha=alpha)
+        assert (a.start, a.center, a.end) == (0, int(s[0].argmax()), 59)
+        # two anchors of radius >= T overlap, so alpha halves until they fit
+        anchors = acv.select_anchors(s[1:], [0, 3], np.array([20.0, 35.0]), alpha=alpha)
+        spans = sorted((a.start, a.end) for a in anchors)
+        assert sorted(a.action for a in anchors) == [0, 3]
+        assert all(a.start <= a.center <= a.end for a in anchors)
+        assert 0 <= spans[0][0] and spans[0][1] < spans[1][0] and spans[1][1] <= 59
+
 
 def place_by_pair_scan(s, order, radius, t_total):
     """Anchor placement as a bounded retry loop: rescan the anchors by

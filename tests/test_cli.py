@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from acvseg import acv, cli, data, infer, training
+from acvseg import acv, cli, data, infer, scorer, training
 from acvseg.core import expand_segmentation
 from acvseg.rng import fork_rng
 
@@ -187,7 +187,9 @@ class TestPipeline:
             assert sorted(int(line.split()[0]) for line in lines[1:cut]) \
                 == list(video.action_set)
             assert int(lines[cut + 1].split()[-1]) == video.features.num_frames - 1
-            seg, anchors, _ = training.pseudo_ground_truth(mlp, hmm_params, video, cfg)
+            scores = scorer.forward(mlp, video.features)
+            seg, anchors, _ = training.pseudo_ground_truth(hmm_params, scores,
+                                                           video.action_set, cfg)
             expected = tmp_path / "expected.txt"
             acv.write_acv_dump(str(expected), anchors, seg)
             assert written == expected.read_text()
@@ -417,14 +419,18 @@ class TestErrorPaths:
         ("--lmin", "inf", "l_min must be a finite number >= 1, got inf"),
         ("--lmin", "0.5", "l_min must be a finite number >= 1, got 0.5"),
         ("--lmin", "0", "l_min must be a finite number >= 1, got 0.0"),
-        ("--lmin", "-5", "l_min must be a finite number >= 1, got -5.0")])
+        ("--lmin", "-5", "l_min must be a finite number >= 1, got -5.0"),
+        ("--lr", "nan", "lr must be finite, got nan"),
+        ("--lr", "inf", "lr must be finite, got inf"),
+        ("--lr", "-inf", "lr must be finite, got -inf")])
     def test_bad_pretrain_size_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys,
                                                           flag, value, message):
         _, corpus, _, _ = pipeline
         out = tmp_path / "bad.ckpt"
         capsys.readouterr()
+        # flag=value, since argparse would read a separate "-inf" as an option
         assert run_cli(["pretrain", "--manifest", str(corpus / "manifest.txt"),
-                        "--out", str(out), flag, value]) == 1
+                        "--out", str(out), "%s=%s" % (flag, value)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message

@@ -280,15 +280,18 @@ def test_best_cuts_matches_exhaustive_search(monkeypatch, min_cells):
     monkeypatch.setattr(dp, "MONOTONE_MIN_CELLS", min_cells)
     rng = np.random.default_rng(5)
     n_infeasible = 0
-    for _ in range(300):
+    for _ in range(1000):
         n_seg = int(rng.integers(1, 5))
         t_total = int(rng.integers(1 if n_seg == 1 else 2, 11))
         lam = rng.uniform(0.5, 8.0, size=n_seg)
         loglik = rng.standard_normal((n_seg, t_total))
-        # non-decreasing ranges inside [0, T-2]; they may overlap or leave
-        # no legal cut vector
-        los = np.sort(rng.integers(0, t_total - 1, size=n_seg - 1))
-        his = np.maximum(np.sort(rng.integers(0, t_total - 1, size=n_seg - 1)), los)
+        # ranges inside [0, T-2], sorted or in any order; they may overlap
+        # or leave no legal cut vector
+        los = rng.integers(0, t_total - 1, size=n_seg - 1)
+        his = rng.integers(0, t_total - 1, size=n_seg - 1)
+        if rng.random() < 0.5:
+            los, his = np.sort(los), np.sort(his)
+        his = np.maximum(his, los)
         domains = tuple((int(lo), int(hi)) for lo, hi in zip(los, his))
         expect = brute_force_cuts(loglik, lam, domains)
         if expect is None:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from acvseg import scorer
 from acvseg.core import ActionSet, FrameFeatures, FrameLabeling
@@ -29,7 +29,53 @@ def naive_forward(p, values):
     return logits, sig, soft
 
 
+def eager_forward(params, x):
+    """forward as it was before its readings were computed on first read:
+    (x, hidden, logits, log_sigmoid, log_softmax), all at once."""
+    x = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    h = params.W1 @ x.T
+    h += params.b1[:, None]
+    np.maximum(h, 0.0, out=h)
+    logits = params.W2 @ h + params.b2[:, None]
+    return (x, h, logits, -np.logaddexp(0.0, -logits),
+            logits - logsumexp(logits, axis=0, keepdims=True))
+
+
 class TestForward:
+    def test_equals_the_eager_twin_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for trial in range(20):
+            dim, n_classes = (int(v) for v in rng.integers(1, 9, size=2))
+            p = scorer.MlpParams.init(dim, n_classes, n_hidden=int(rng.integers(1, 40)),
+                                      seed=trial)
+            values = 3.0 * rng.standard_normal((int(rng.integers(1, 80)), dim))
+            out = scorer.forward(p, FrameFeatures(values))
+            for got, want in zip((out.x, out.hidden, out.logits, out.log_sigmoid,
+                                  out.log_softmax), eager_forward(p, values)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_readings_are_computed_only_when_read(self, monkeypatch):
+        p = scorer.MlpParams.init(4, 3, n_hidden=6, seed=5)
+        x = np.random.default_rng(5).random((9, 4))
+
+        def unread(*args, **kwargs):
+            pytest.fail("a reading was computed")
+
+        with monkeypatch.context() as m:
+            m.setattr(scorer, "logsumexp", unread)
+            m.setattr(np, "logaddexp", unread)
+            out = scorer.forward(p, x)
+            scorer.mil_loss_and_grads(p, x, ActionSet([1]))
+        assert "log_sigmoid" not in vars(out) and "log_softmax" not in vars(out)
+        assert out.log_softmax.shape == (3, 9) and "log_sigmoid" not in vars(out)
+        assert out.log_sigmoid.shape == (3, 9) and "log_sigmoid" in vars(out)
+
+    def test_a_second_read_returns_the_same_array(self):
+        p = scorer.MlpParams.init(4, 3, n_hidden=6, seed=6)
+        out = scorer.forward(p, np.random.default_rng(6).random((9, 4)))
+        assert out.log_sigmoid is out.log_sigmoid
+        assert out.log_softmax is out.log_softmax
+
     def test_all_zero_params_give_coin_flip_scores(self):
         x = FrameFeatures(np.random.default_rng(0).random((5, 3)))
         out = scorer.forward(zero_params(), x)
@@ -92,9 +138,9 @@ class TestCrossEntropy:
             out = scorer.forward(params, FrameFeatures(values))
             return scorer.cross_entropy_loss(out, labels)[0]
 
-        out, cache = scorer.forward(p, FrameFeatures(values), want_cache=True)
+        out = scorer.forward(p, FrameFeatures(values))
         _, d_logits = scorer.cross_entropy_loss(out, labels)
-        grads = scorer.backward(p, cache, d_logits)
+        grads = scorer.backward(p, out.x, out.hidden, d_logits)
         assert max_fd_error(p, grads, loss_at) < 1e-4
 
 
@@ -248,13 +294,13 @@ class TestMilLossAndGrads:
         x = rng.standard_normal((30, 5))
         aset = ActionSet([1, 3])
         _, grads = scorer.mil_loss_and_grads(p, x, aset)
-        scores, cache = scorer.forward(p, x, want_cache=True)
+        scores = scorer.forward(p, x)
         f = expit(scores.logits)
         best_t = f.argmax(axis=1)
         pooled = f[np.arange(4), best_t]
         d_logits = np.zeros_like(f)
         d_logits[np.arange(4), best_t] = (pooled - np.isin(np.arange(4), [1, 3])) / 4
-        full = scorer.backward(p, cache, d_logits)
+        full = scorer.backward(p, scores.x, scores.hidden, d_logits)
         for name in ("W1", "b1", "W2", "b2"):
             # only the summation order differs
             np.testing.assert_allclose(grads[name], full[name], rtol=1e-12, atol=1e-15)
@@ -269,7 +315,7 @@ class TestMilLossAndGrads:
             aset = ActionSet(rng.choice(5, size=int(rng.integers(1, 6)), replace=False))
             loss, grads = scorer.mil_loss_and_grads(p, x, aset)
 
-            scores, cache = scorer.forward(p, x, want_cache=True)
+            scores = scorer.forward(p, x)
             f = expit(scores.logits)
             best_t = f.argmax(axis=1)
             pooled = f[np.arange(5), best_t]
@@ -279,8 +325,7 @@ class TestMilLossAndGrads:
             frames, col = np.unique(best_t, return_inverse=True)
             d_logits = np.zeros((5, frames.shape[0]))
             d_logits[np.arange(5), col] = (pooled - y) / 5
-            ref = scorer.backward(p, scorer.ForwardCache(cache.x[frames], cache.h[:, frames]),
-                                  d_logits)
+            ref = scorer.backward(p, scores.x[frames], scores.hidden[:, frames], d_logits)
             assert loss == ref_loss
             for name in ("W1", "b1", "W2", "b2"):
                 np.testing.assert_array_equal(grads[name], ref[name])

@@ -29,9 +29,7 @@ def test_defaulted_parameters_are_the_ones_callers_rely_on():
                     found.append("%s.%s %s" % (info.name, qualname, param.name))
     assert sorted(found) == [
         "cli.main argv",
-        "scorer.forward want_cache",
         "training.load_corpus with_labels",
-        "training.pseudo_ground_truth scores",
         "training.train log",
         "training.train start_iter",
     ]

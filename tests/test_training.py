@@ -93,7 +93,8 @@ class TestPseudoGroundTruth:
         hp, mlp = fresh_params(videos)
         cfg = small_cfg()
         for video in videos:
-            seg, anchors, score = training.pseudo_ground_truth(mlp, hp, video, cfg)
+            scores = scorer.forward(mlp, video.features)
+            seg, anchors, score = training.pseudo_ground_truth(hp, scores, video.action_set, cfg)
             assert validate_segmentation(seg, video.features.num_frames,
                                          video.action_set)
             assert np.isfinite(score)
@@ -103,8 +104,9 @@ class TestPseudoGroundTruth:
         _, videos = corpus
         hp, mlp = fresh_params(videos)
         cfg = small_cfg()
-        a = training.pseudo_ground_truth(mlp, hp, videos[0], cfg)
-        b = training.pseudo_ground_truth(mlp, hp, videos[0], cfg)
+        video = videos[0]
+        a, b = (training.pseudo_ground_truth(hp, scorer.forward(mlp, video.features),
+                                             video.action_set, cfg) for _ in range(2))
         assert a[0] == b[0] and a[2] == b[2]
 
 
@@ -114,10 +116,11 @@ class TestLossAndGrads:
         hp, mlp = fresh_params(videos)
         video = next(v for v in videos if len(v.action_set) > 1)
         cfg = small_cfg()
-        seg, _, _ = training.pseudo_ground_truth(mlp, hp, video, cfg)
+        seg, _, _ = training.pseudo_ground_truth(hp, scorer.forward(mlp, video.features),
+                                                 video.action_set, cfg)
         pseudo = training.expand_segmentation(seg)
         total, ce, div, grads = training.loss_and_grads(
-            mlp, scorer.forward(mlp, video.features, want_cache=True), video.action_set,
+            mlp, scorer.forward(mlp, video.features), video.action_set,
             pseudo, cfg.tau, cfg.beta)
         assert np.isfinite(total) and ce >= 0.0 and 0.0 <= div <= 1.0
         assert total == pytest.approx(ce + cfg.beta * div)
@@ -130,8 +133,7 @@ class TestLossAndGrads:
         video = videos[0]
         pseudo = np.array([int(min(video.action_set))] * video.features.num_frames)
         total, ce, div, _ = training.loss_and_grads(
-            mlp, scorer.forward(mlp, video.features, want_cache=True), video.action_set,
-            pseudo, 8, 0.0)
+            mlp, scorer.forward(mlp, video.features), video.action_set, pseudo, 8, 0.0)
         assert div == 0.0 and total == ce
 
     def test_peak_allocation_stays_near_two_hidden_layers(self):
@@ -141,13 +143,11 @@ class TestLossAndGrads:
         mlp = scorer.MlpParams.init(32, 7, n_hidden=n_hidden, seed=6)
         aset = ActionSet([0, 2, 5])
         pseudo = rng.choice([0, 2, 5], size=t_total)
-        training.loss_and_grads(mlp, scorer.forward(mlp, x, want_cache=True), aset,
-                                pseudo, 15, 0.4)
+        training.loss_and_grads(mlp, scorer.forward(mlp, x), aset, pseudo, 15, 0.4)
         tracemalloc.start()
         try:
-            # the forward pass is measured too: its cache holds one hidden layer
-            training.loss_and_grads(mlp, scorer.forward(mlp, x, want_cache=True), aset,
-                                    pseudo, 15, 0.4)
+            # the forward pass is measured too: its result holds one hidden layer
+            training.loss_and_grads(mlp, scorer.forward(mlp, x), aset, pseudo, 15, 0.4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
