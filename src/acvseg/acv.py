@@ -123,6 +123,12 @@ def select_anchors(saliency, actions, lambdas, alpha):
     # candidate centers per class: saliency descending, earlier frame on ties
     order = np.argsort(-s, axis=1, kind="stable")
 
+    # an anchor of radius >= T-1 spans the video and leaves no room for a
+    # second one, so those halvings are taken without trying to place
+    if m >= 2:
+        widest = float(lambdas.max())
+        while alpha * widest / 2.0 >= max(t_total - 1, 1):
+            alpha /= 2.0
     while True:
         # any radius >= T-1 spans the video, so clamping at T changes no anchor
         with np.errstate(over="ignore"):

@@ -65,8 +65,9 @@ def cmd_train(args):
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
         for video in videos:
-            seg, anchors, _ = training.pseudo_ground_truth(
-                hmm_params, scorer.forward(mlp, video.features), video.action_set, cfg)
+            scores = scorer.forward(mlp, scorer.gemm_input(video.features))
+            seg, anchors, _ = training.pseudo_ground_truth(hmm_params, scores,
+                                                           video.action_set, cfg)
             acv.write_acv_dump(os.path.join(args.dump_dir, video.video_id + ".txt"),
                                anchors, seg)
     print("wrote %s" % args.out)

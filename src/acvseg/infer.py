@@ -138,10 +138,10 @@ def segment_video(x, training_sets, mlp_params, hmm_params, k, seed):
         raise ValueError("no training sets to sample from")
     rng = fork_rng(seed, "segment")
     chosen = training_sets[int(rng.integers(len(training_sets)))]
-    return _best_over_candidates(x, chosen, mlp_params, hmm_params, k, rng)
+    return _best_over_candidates(scorer.gemm_input(x), chosen, mlp_params, hmm_params, k, rng)
 
 
 def align_video(x, true_set, mlp_params, hmm_params, k, seed):
     """Align a test video against its known action set."""
     rng = fork_rng(seed, "align")
-    return _best_over_candidates(x, true_set, mlp_params, hmm_params, k, rng)
+    return _best_over_candidates(scorer.gemm_input(x), true_set, mlp_params, hmm_params, k, rng)

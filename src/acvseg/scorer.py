@@ -5,6 +5,15 @@ FrameScores that every consumer reads: its sigmoids score each class for
 saliency and multi-instance pretraining, its softmax is the posterior
 p(c | x_t) for the HMM likelihood and the cross-entropy loss, and `backward`
 reads its input and hidden layer.  All gradients are analytic, no autodiff.
+
+Precision: `forward` and `backward` run their matrix products in the dtype
+of the features they are given.  The pipeline hands them `gemm_input`'s
+float32 copy, cast once per video, so the products run in float32 on
+float32 casts of W1, b1 and W2; the logits are widened to float64 before b2
+is added, and the gradients are returned in float64.  The parameters, the
+SGD step, the checkpoints, the log readings, the HMM likelihoods and every
+dynamic program stay float64.  Any other input is read as float64 and
+computes entirely in float64, the path the gradient checks use.
 """
 
 from __future__ import annotations
@@ -20,6 +29,10 @@ from .rng import fork_rng
 
 N_HIDDEN = 256
 EPS = 1e-12
+
+
+class NonFiniteError(ValueError):
+    """The scorer's logits or gradients overflowed."""
 
 
 @dataclass
@@ -84,26 +97,47 @@ class FrameScores:
         return self.logits - logsumexp(self.logits, axis=0, keepdims=True)
 
 
+def gemm_input(features):
+    """The (T, dim) float32 array of a FrameFeatures or an array-like, on
+    which forward and backward run their products in float32."""
+    return np.asarray(getattr(features, "values", features), dtype=np.float32)
+
+
 def forward(params, x):
-    """Score every frame; x is (T, dim) or a FrameFeatures."""
-    x = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    """Score every frame; x is (T, dim) or a FrameFeatures.  float32 input
+    (see gemm_input) runs the products in float32, any other in float64;
+    the logits are float64 either way.  Non-finite logits are an error."""
+    x = np.asarray(getattr(x, "values", x))
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ValueError("features must be (T, %d)" % params.dim)
-    # build the hidden layer in place: one (n_hidden, T) allocation per call
-    h = params.W1 @ x.T
-    h += params.b1[:, None]
-    np.maximum(h, 0.0, out=h)
-    return FrameScores(x, h, params.W2 @ h + params.b2[:, None])
+    # overflow shows as non-finite logits, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # build the hidden layer in place: one (n_hidden, T) allocation per call
+        h = params.W1.astype(x.dtype, copy=False) @ x.T
+        # a float32 h plus a float64 b1 would take numpy's slow mixed-dtype loop
+        h += params.b1.astype(x.dtype, copy=False)[:, None]
+        np.maximum(h, 0.0, out=h)
+        logits = (params.W2.astype(x.dtype, copy=False) @ h).astype(np.float64, copy=False)
+        logits += params.b2[:, None]
+    if not np.all(np.isfinite(logits)):
+        raise NonFiniteError("non-finite logits")
+    return FrameScores(x, h, logits)
 
 
 def backward(params, x, hidden, d_logits):
-    """Gradients of any loss from its gradient at the logits of frames x."""
+    """Gradients of any loss from its gradient at the logits of frames x,
+    in float64; the products run in the dtype of x and hidden."""
     d_b2 = d_logits.sum(axis=1)
-    d_w2 = d_logits @ hidden.T
-    d_z1 = params.W2.T @ d_logits  # d_h until masked by the ReLU in place
-    d_z1 *= hidden > 0.0
-    d_b1 = d_z1.sum(axis=1)
-    d_w1 = d_z1 @ x
+    d_logits = d_logits.astype(x.dtype, copy=False)
+    # overflow shows as a non-finite gradient, which sgd_step refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_w2 = (d_logits @ hidden.T).astype(np.float64, copy=False)
+        d_z1 = params.W2.T.astype(x.dtype, copy=False) @ d_logits  # d_h until masked
+        d_z1 *= hidden > 0.0
+        d_b1 = d_z1.sum(axis=1, dtype=np.float64)
+        d_w1 = (d_z1 @ x).astype(np.float64, copy=False)
     return {"W1": d_w1, "b1": d_b1, "W2": d_w2, "b2": d_b2}
 
 
@@ -162,12 +196,18 @@ def diversity_loss(saliency):
 
 
 def sgd_step(params, grads, lr):
-    """params - lr * grads; refuses non-finite gradients."""
+    """params - lr * grads; refuses non-finite gradients and a step that
+    overflows a parameter."""
     for name in ("W1", "b1", "W2", "b2"):
         if not np.all(np.isfinite(grads[name])):
-            raise ValueError("non-finite gradient in %s" % name)
-    return MlpParams(params.W1 - lr * grads["W1"], params.b1 - lr * grads["b1"],
-                     params.W2 - lr * grads["W2"], params.b2 - lr * grads["b2"])
+            raise NonFiniteError("non-finite gradient in %s" % name)
+    with np.errstate(over="ignore"):
+        stepped = MlpParams(params.W1 - lr * grads["W1"], params.b1 - lr * grads["b1"],
+                            params.W2 - lr * grads["W2"], params.b2 - lr * grads["b2"])
+    for name in ("W1", "b1", "W2", "b2"):
+        if not np.all(np.isfinite(getattr(stepped, name))):
+            raise NonFiniteError("the step overflows %s" % name)
+    return stepped
 
 
 def mil_loss_and_grads(params, x, action_set):
@@ -193,21 +233,26 @@ def mil_loss_and_grads(params, x, action_set):
 def mil_pretrain(params, corpus, epochs, lr, seed):
     """SGD over shuffled videos on the multi-instance objective.
 
-    corpus: sequence of (features, action_set) pairs.  Zero epochs returns
-    an unchanged copy; fewer, or a non-finite lr, are an error.
+    corpus: sequence of (features, action_set) pairs; each video's features
+    are cast by gemm_input once, before the first epoch.  Zero epochs
+    returns an unchanged copy; fewer, or a non-finite lr, are an error, and
+    an lr that makes the scorer overflow is named in the error.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0, got %d" % epochs)
     if not np.isfinite(lr):
         raise ValueError("lr must be finite, got %r" % (lr,))
     params = params.copy()
-    corpus = list(corpus)
+    corpus = [(gemm_input(x), aset) for x, aset in corpus]
     if not corpus:
         raise ValueError("empty corpus")
     rng = fork_rng(seed, "mil")
-    for _ in range(int(epochs)):
-        for v in rng.permutation(len(corpus)):
-            x, aset = corpus[v]
-            _, grads = mil_loss_and_grads(params, x, aset)
-            params = sgd_step(params, grads, lr)
+    try:
+        for _ in range(int(epochs)):
+            for v in rng.permutation(len(corpus)):
+                x, aset = corpus[v]
+                _, grads = mil_loss_and_grads(params, x, aset)
+                params = sgd_step(params, grads, lr)
+    except NonFiniteError as exc:
+        raise ValueError("lr %g: %s" % (lr, exc)) from None
     return params

@@ -118,42 +118,51 @@ def loss_and_grads(mlp_params, scores, action_set, pseudo_labels, tau, beta):
 def train(videos, hmm_params, mlp_params, cfg, start_iter=0, log=None):
     """Run cfg.iters iterations starting at start_iter; returns the updated
     (hmm_params, mlp_params, start_iter + cfg.iters), the last being the
-    count a checkpoint records.  Videos must carry in-memory features."""
+    count a checkpoint records.  Videos must carry in-memory features; each
+    is cast by scorer.gemm_input once, before the first iteration."""
     if not videos:
         raise ValueError("empty corpus")
     hmm_params = hmm_params.copy()
     mlp_params = mlp_params.copy()
     n_videos = len(videos)
+    xs = [scorer.gemm_input(v.features) for v in videos]
     probe = [v for v in videos if v.gt_labels is not None][:PROBE_SIZE]
     ce_sum, div_sum, since = 0.0, 0.0, 0
-    for i in range(start_iter, start_iter + cfg.iters):
-        rng = fork_rng(cfg.seed, "train", i)
-        video = videos[int(rng.integers(n_videos))]
-        # one forward per iteration: the params do not change before the SGD step
-        scores = scorer.forward(mlp_params, video.features)
-        seg, _, _ = pseudo_ground_truth(hmm_params, scores, video.action_set, cfg)
-        hmm_params = hmm_mod.update_refined(hmm_params, seg, n_videos)
-        pseudo = expand_segmentation(seg)
-        _, ce, div, grads = loss_and_grads(mlp_params, scores, video.action_set,
-                                           pseudo, cfg.tau, cfg.beta)
-        mlp_params = scorer.sgd_step(mlp_params, grads, cfg.lr_at(i))
-        ce_sum += ce
-        div_sum += div
-        since += 1
-        if (i + 1) % cfg.log_every == 0 and log is not None:
-            line = "iter %d ce %.4f div %.4f" % (i + 1, ce_sum / since, div_sum / since)
-            if probe:
-                line += " anchor_iod %.4f" % probe_anchor_iod(mlp_params, hmm_params, probe, cfg)
-            log(line)
-            ce_sum, div_sum, since = 0.0, 0.0, 0
+    try:
+        for i in range(start_iter, start_iter + cfg.iters):
+            rng = fork_rng(cfg.seed, "train", i)
+            v = int(rng.integers(n_videos))
+            video = videos[v]
+            # one forward per iteration: the params do not change before the SGD step
+            scores = scorer.forward(mlp_params, xs[v])
+            seg, _, _ = pseudo_ground_truth(hmm_params, scores, video.action_set, cfg)
+            hmm_params = hmm_mod.update_refined(hmm_params, seg, n_videos)
+            pseudo = expand_segmentation(seg)
+            _, ce, div, grads = loss_and_grads(mlp_params, scores, video.action_set,
+                                               pseudo, cfg.tau, cfg.beta)
+            mlp_params = scorer.sgd_step(mlp_params, grads, cfg.lr_at(i))
+            ce_sum += ce
+            div_sum += div
+            since += 1
+            if (i + 1) % cfg.log_every == 0 and log is not None:
+                line = "iter %d ce %.4f div %.4f" % (i + 1, ce_sum / since, div_sum / since)
+                if probe:
+                    line += " anchor_iod %.4f" % probe_anchor_iod(mlp_params, hmm_params,
+                                                                  probe, cfg)
+                log(line)
+                ce_sum, div_sum, since = 0.0, 0.0, 0
+    except scorer.NonFiniteError as exc:
+        raise ValueError("lr %g: %s" % (cfg.lr_at(i), exc)) from None
     return hmm_params, mlp_params, start_iter + cfg.iters
 
 
 def probe_anchor_iod(mlp_params, hmm_params, probe_videos, cfg):
-    """Mean anchor IoD against hidden labels on a fixed probe; diagnostic only."""
+    """Mean anchor IoD against hidden labels on a fixed probe; diagnostic only.
+    The features go through scorer.gemm_input, so the probe scores as
+    training does."""
     values = []
     for video in probe_videos:
-        scores = scorer.forward(mlp_params, video.features)
+        scores = scorer.forward(mlp_params, scorer.gemm_input(video.features))
         _, anchors, _ = pseudo_ground_truth(hmm_params, scores, video.action_set, cfg)
         gt_segs = metrics.labeling_to_segments(video.gt_labels)
         values.append(metrics.anchor_iod(anchors, gt_segs))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,71 @@ class TestSelectAnchors:
         assert sorted(a.action for a in anchors) == [0, 3]
         assert all(a.start <= a.center <= a.end for a in anchors)
         assert 0 <= spans[0][0] and spans[0][1] < spans[1][0] and spans[1][1] <= 59
+
+    def test_equals_the_halve_every_time_reference(self):
+        rng = np.random.default_rng(19)
+        outcomes = set()
+        for trial in range(3000):
+            m = int(rng.integers(1, 6))
+            t_total = int(rng.integers(1, 201))
+            if trial % 3 == 0:
+                s = rng.integers(0, 3, size=(m, t_total)).astype(np.float64)  # many ties
+            else:
+                s = rng.random((m, t_total))
+            actions = np.sort(rng.choice(10, size=m, replace=False))
+            lambdas = rng.uniform(1.0, 200.0, size=m)
+            alpha = 10.0 ** rng.uniform(-1.0, 300.0)
+            got, want = [], []
+            for select, out in ((acv.select_anchors, got),
+                                (select_anchors_halving_every_time, want)):
+                try:
+                    out.append(select(s, actions, lambdas, alpha))
+                except ValueError as err:
+                    out.append(str(err))
+            assert got == want
+            outcomes.add((m > 1, isinstance(got[0], str)))
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_huge_alpha_places_after_few_attempts(self, monkeypatch):
+        calls = []
+        place = acv._place
+
+        def spy(*args):
+            calls.append(1)
+            return place(*args)
+
+        monkeypatch.setattr(acv, "_place", spy)
+        s = np.random.default_rng(17).random((2, 60))
+        anchors = acv.select_anchors(s, [0, 3], np.array([20.0, 35.0]), alpha=1e300)
+        assert len(anchors) == 2 and len(calls) <= 3
+
+
+def select_anchors_halving_every_time(saliency, actions, lambdas, alpha):
+    """select_anchors as it was before halvings whose radii span the video
+    were skipped: every halving tries to place.  Two shortcuts change no
+    outcome, only the time a huge alpha takes: the radii are computed in
+    Python floats, where min(floor(v), T) = floor(min(v, T)) for integer T,
+    and _place, which is deterministic, runs once per radius vector, since
+    the radii clamp at T."""
+    s = np.asarray(saliency, dtype=np.float64)
+    m, t_total = s.shape
+    actions = [int(c) for c in actions]
+    lambdas = [float(lam) for lam in lambdas]
+    order = np.argsort(-s, axis=1, kind="stable")
+    placements = {}
+    while True:
+        radius = tuple([math.floor(min(alpha * lam / 2.0, t_total)) for lam in lambdas])
+        if radius not in placements:
+            placements[radius] = acv._place(s, order, np.asarray(radius), t_total)
+        placed = placements[radius]
+        if placed is not None:
+            return acv.AnchorSet(acv.Anchor(actions[i], int(c),
+                                            int(max(0, c - radius[i])),
+                                            int(min(t_total - 1, c + radius[i])))
+                                 for i, c in enumerate(placed))
+        if not any(radius):
+            raise ValueError("cannot place %d disjoint anchors in %d frames" % (m, t_total))
+        alpha /= 2.0
 
 
 def place_by_pair_scan(s, order, radius, t_total):

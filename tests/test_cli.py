@@ -422,7 +422,10 @@ class TestErrorPaths:
         ("--lmin", "-5", "l_min must be a finite number >= 1, got -5.0"),
         ("--lr", "nan", "lr must be finite, got nan"),
         ("--lr", "inf", "lr must be finite, got inf"),
-        ("--lr", "-inf", "lr must be finite, got -inf")])
+        ("--lr", "-inf", "lr must be finite, got -inf"),
+        # pyproject.toml turns any RuntimeWarning into an error under pytest
+        ("--lr", "1e308", "lr 1e+308: non-finite logits"),
+        ("--lr", "1e30", "lr 1e+30: non-finite logits")])
     def test_bad_pretrain_size_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys,
                                                           flag, value, message):
         _, corpus, _, _ = pipeline
@@ -435,6 +438,19 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == "error: %s\n" % message
         assert not out.exists()
+
+    def test_overflowing_train_lr_exits_1_and_writes_nothing(self, pipeline, tmp_path, capsys):
+        # pyproject.toml turns any RuntimeWarning into an error under pytest
+        _, corpus, init, _ = pipeline
+        out, dump = tmp_path / "bad.ckpt", tmp_path / "dump"
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", str(corpus / "manifest.txt"),
+                        "--init", str(init), "--out", str(out), "--iters", "5",
+                        "--dump-dir", str(dump), "--lr", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: lr 1e+308: non-finite logits\n"
+        assert not out.exists() and not dump.exists()
 
     def test_zero_pretrain_epochs_stay_valid(self, pipeline, tmp_path):
         _, corpus, _, _ = pipeline

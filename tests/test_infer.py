@@ -364,6 +364,15 @@ def decode_both(x, members, mlp, params, k, seed):
     return got, expect, distinct
 
 
+def outcome(decode, *args):
+    """(Segmentation, score bits) of one decode call, or its error message."""
+    try:
+        seg, score = decode(*args)
+    except ValueError as err:
+        return str(err)
+    return seg, np.float64(score).tobytes()
+
+
 class TestBatchedDecoding:
     """Batched candidate decoding returns the per-candidate loop's bits."""
 
@@ -420,6 +429,25 @@ class TestBatchedDecoding:
                                                 seed)
             assert got == expect and len(distinct) > 1
             assert got[0].actions == distinct[0]
+
+    def test_video_decoders_score_the_float32_cast(self):
+        rng = np.random.default_rng(31)
+        decoded = 0
+        for trial in range(12):
+            x, members, mlp, params = random_decode_case(rng)
+            sets = [members, ActionSet(rng.choice(6, size=2, replace=False))]
+            segment_rng = fork_rng(trial, "segment")
+            chosen = sets[int(segment_rng.integers(len(sets)))]
+            x32 = scorer.gemm_input(x)
+            got = outcome(infer.segment_video, x, sets, mlp, params, 30, trial)
+            assert got == outcome(infer._best_over_candidates, x32, chosen, mlp, params, 30,
+                                  segment_rng)
+            decoded += isinstance(got, tuple)
+            got = outcome(infer.align_video, x, members, mlp, params, 30, trial)
+            assert got == outcome(infer._best_over_candidates, x32, members, mlp, params, 30,
+                                  fork_rng(trial, "align"))
+            decoded += isinstance(got, tuple)
+        assert decoded > 12
 
     def test_long_video_decodes_in_bounded_memory(self):
         rng = np.random.default_rng(7)

@@ -114,6 +114,93 @@ class TestForward:
         np.testing.assert_allclose(np.exp(out.log_softmax).sum(axis=0), 1.0, atol=1e-9)
 
 
+# unit roundoff of float32: each cast or product-and-add rounds by at most
+# this much relative, so a sum of n rounded terms is within n * U32 of its
+# exact value times the sum of the magnitudes (the standard gamma_n bound)
+U32 = 2.0 ** -24
+
+
+def eager_forward32(params, x):
+    """forward's float32 path written out: (x, hidden, logits), the products
+    on float32 casts of x, W1, b1 and W2, the logits widened before b2."""
+    x = np.asarray(x, dtype=np.float32)
+    h = params.W1.astype(np.float32) @ x.T + params.b1.astype(np.float32)[:, None]
+    h = np.maximum(h, np.float32(0.0))
+    logits = (params.W2.astype(np.float32) @ h).astype(np.float64) + params.b2[:, None]
+    return x, h, logits
+
+
+def random_scorer_case(rng, trial):
+    dim, n_classes = int(rng.integers(1, 65)), int(rng.integers(1, 9))
+    p = scorer.MlpParams.init(dim, n_classes, n_hidden=int(rng.integers(1, 257)), seed=trial)
+    p.b1[:] = 0.1 * rng.standard_normal(p.n_hidden)
+    p.b2[:] = rng.standard_normal(n_classes)
+    return p, 3.0 * rng.standard_normal((int(rng.integers(1, 300)), dim))
+
+
+class TestFloat32Forward:
+    def test_equals_the_float32_eager_twin_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            p, values = random_scorer_case(rng, trial)
+            out = scorer.forward(p, scorer.gemm_input(FrameFeatures(values)))
+            assert out.x.dtype == out.hidden.dtype == np.float32
+            for got, want in zip((out.x, out.hidden, out.logits), eager_forward32(p, values)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_logits_are_float64_within_the_float32_rounding_bound(self):
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            p, values = random_scorer_case(rng, trial)
+            ref = scorer.forward(p, values)
+            out = scorer.forward(p, scorer.gemm_input(values))
+            assert out.logits.dtype == np.float64
+            # casts, a dim-term and an n_hidden-term sum, and the bias adds
+            n = p.dim + p.n_hidden + 5
+            scale = np.abs(p.W2) @ (np.abs(p.W1) @ np.abs(values).T
+                                    + np.abs(p.b1)[:, None]) + np.abs(p.b2)[:, None]
+            assert np.all(np.abs(out.logits - ref.logits) <= n * U32 * scale)
+
+    def test_backward_returns_float64_within_the_float32_rounding_bound(self):
+        rng = np.random.default_rng(10)
+        for trial in range(20):
+            p, values = random_scorer_case(rng, trial)
+            out = scorer.forward(p, scorer.gemm_input(values))
+            d_logits = rng.standard_normal(out.logits.shape)
+            got = scorer.backward(p, out.x, out.hidden, d_logits)
+            # the same inputs widened, so only backward's own rounding differs
+            x64, h64 = out.x.astype(np.float64), out.hidden.astype(np.float64)
+            want = scorer.backward(p, x64, h64, d_logits)
+            abs_dz1 = (np.abs(p.W2).T @ np.abs(d_logits)) * (h64 > 0.0)
+            scale = {"W1": abs_dz1 @ np.abs(x64), "b1": abs_dz1.sum(axis=1),
+                     "W2": np.abs(d_logits) @ h64.T, "b2": np.zeros(p.n_classes)}
+            # casts plus the longest sum: over frames after one over classes
+            n = x64.shape[0] + p.n_classes + 5
+            for name in ("W1", "b1", "W2", "b2"):
+                assert got[name].dtype == np.float64
+                assert np.all(np.abs(got[name] - want[name]) <= n * U32 * scale[name])
+
+    def test_other_input_dtypes_compute_in_float64(self):
+        p = scorer.MlpParams.init(3, 2, n_hidden=5, seed=4)
+        values = np.arange(12).reshape(4, 3)
+        ref = scorer.forward(p, values.astype(np.float64))
+        for x in (values, values.astype(np.float16), values.tolist()):
+            out = scorer.forward(p, x)
+            assert out.x.dtype == out.hidden.dtype == np.float64
+            np.testing.assert_array_equal(out.logits, ref.logits)
+
+    @pytest.mark.parametrize("cast", [np.asarray, scorer.gemm_input])
+    def test_overflowing_logits_are_an_error_without_a_warning(self, cast):
+        # pytest turns any RuntimeWarning into an error (pyproject.toml)
+        p = scorer.MlpParams.init(3, 2, n_hidden=5, seed=5)
+        p.W1 *= 1e300
+        p.W2 *= 1e300
+        x = cast(np.random.default_rng(5).standard_normal((6, 3)))
+        with pytest.raises(scorer.NonFiniteError, match="^non-finite logits$"):
+            scorer.forward(p, x)
+
+
 class TestCrossEntropy:
     def test_confident_correct_single_class_is_free(self):
         class Fake:
@@ -231,6 +318,11 @@ class TestSgdStep:
         q = scorer.sgd_step(p, g, 0.1)
         assert value(q) < value(p)
 
+    def test_overflowing_step_rejected_without_a_warning(self):
+        p = scorer.MlpParams.init(2, 2, n_hidden=3, seed=2)
+        with pytest.raises(scorer.NonFiniteError, match="^the step overflows W1$"):
+            scorer.sgd_step(p, grads_like(p, 10.0), 1e308)
+
     def test_non_finite_gradient_rejected(self):
         p = scorer.MlpParams.init(2, 2, n_hidden=3, seed=2)
         g = grads_like(p)
@@ -277,6 +369,36 @@ class TestMilPretrain:
         q = scorer.mil_pretrain(p, corpus, epochs=0, lr=0.1, seed=0)
         for name in ("W1", "b1", "W2", "b2"):
             np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+
+    def test_features_are_cast_once_per_video(self, monkeypatch):
+        corpus = tiny_mil_corpus()
+        cast, seen = [], []
+        gemm_input, forward = scorer.gemm_input, scorer.forward
+
+        def spy_cast(features):
+            cast.append(features)
+            return gemm_input(features)
+
+        def spy_forward(params, x):
+            seen.append(x.dtype)
+            return forward(params, x)
+
+        monkeypatch.setattr(scorer, "gemm_input", spy_cast)
+        monkeypatch.setattr(scorer, "forward", spy_forward)
+        scorer.mil_pretrain(scorer.MlpParams.init(4, 2, n_hidden=8, seed=3), corpus,
+                            epochs=5, lr=0.05, seed=7)
+        assert [id(x) for x in cast] == [id(x) for x, _ in corpus]
+        assert seen == [np.float32] * 5 * len(corpus)
+
+    @pytest.mark.parametrize("lr, message", [
+        (1e308, "lr 1e+308: the step overflows W2"),
+        (1e30, "lr 1e+30: non-finite logits"),
+        (1e20, "lr 1e+20: non-finite logits")])
+    def test_overflowing_step_size_is_named(self, lr, message):
+        p = scorer.MlpParams.init(4, 2, n_hidden=8, seed=3)
+        with pytest.raises(ValueError) as err:
+            scorer.mil_pretrain(p, tiny_mil_corpus(), epochs=2, lr=lr, seed=7)
+        assert str(err.value) == message
 
     def test_deterministic_under_seed(self):
         corpus = tiny_mil_corpus()

@@ -22,6 +22,8 @@ STEPS = (
     "train --manifest train/manifest.txt --init init.ckpt --out model.ckpt --iters 150"
     " --lr-drop-at 1000000 --seed 3",
     "align --manifest test/manifest.txt --ckpt model.ckpt --out pred --k 50 --seed 1",
+    "segment --manifest test/manifest.txt --ckpt model.ckpt --out seg --k 50 --seed 1"
+    " --train-manifest train/manifest.txt",
 )
 
 

@@ -169,6 +169,39 @@ class TestTrain:
         training.train(videos, hp, mlp, small_cfg(iters=7))
         assert len(calls) == 7
 
+    def test_features_are_cast_once_per_video(self, corpus, monkeypatch):
+        _, videos = corpus
+        hp, mlp = fresh_params(videos)
+        cast, seen = [], []
+        gemm_input, forward = scorer.gemm_input, scorer.forward
+
+        def spy_cast(features):
+            cast.append(features)
+            return gemm_input(features)
+
+        def spy_forward(params, x):
+            seen.append(x.dtype)
+            return forward(params, x)
+
+        monkeypatch.setattr(scorer, "gemm_input", spy_cast)
+        monkeypatch.setattr(scorer, "forward", spy_forward)
+        training.train(videos, hp, mlp, small_cfg(iters=20))
+        assert [id(x) for x in cast] == [id(v.features) for v in videos]
+        assert seen == [np.float32] * 20
+
+    @pytest.mark.parametrize("lr, drop_at, message", [
+        (1e308, 10 ** 9, "lr 1e+308: non-finite logits"),
+        (1e30, 10 ** 9, "lr 1e+30: non-finite logits"),
+        # the step size in use when the scorer overflows, after the drop
+        (0.01, 0, "lr 1e+30: non-finite logits")])
+    def test_overflowing_step_size_is_named(self, corpus, lr, drop_at, message):
+        _, videos = corpus
+        hp, mlp = fresh_params(videos)
+        cfg = small_cfg(lr=lr, lr_drop_at=drop_at, lr_after=1e30)
+        with pytest.raises(ValueError) as err:
+            training.train(videos, hp, mlp, cfg)
+        assert str(err.value) == message
+
     def test_deterministic_under_seed(self, corpus):
         _, videos = corpus
         hp, mlp = fresh_params(videos)
