@@ -32,7 +32,7 @@ EPS = 1e-12
 
 
 class NonFiniteError(ValueError):
-    """The scorer's logits or gradients overflowed."""
+    """The scorer's logits, gradients or parameters overflowed."""
 
 
 @dataclass
@@ -99,8 +99,13 @@ class FrameScores:
 
 def gemm_input(features):
     """The (T, dim) float32 array of a FrameFeatures or an array-like, on
-    which forward and backward run their products in float32."""
-    return np.asarray(getattr(features, "values", features), dtype=np.float32)
+    which forward and backward run their products in float32.  A value
+    beyond the float32 range is an error."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(getattr(features, "values", features), dtype=np.float32)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features exceed the float32 range")
+    return x
 
 
 def forward(params, x):

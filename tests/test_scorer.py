@@ -190,6 +190,12 @@ class TestFloat32Forward:
             assert out.x.dtype == out.hidden.dtype == np.float64
             np.testing.assert_array_equal(out.logits, ref.logits)
 
+    def test_features_beyond_the_float32_range_are_an_error(self):
+        # finite in float64, so FrameFeatures accepts them
+        x = FrameFeatures(np.array([[1.0, 2.0], [-1e39, 0.0]]))
+        with pytest.raises(ValueError, match="^features exceed the float32 range$"):
+            scorer.gemm_input(x)
+
     @pytest.mark.parametrize("cast", [np.asarray, scorer.gemm_input])
     def test_overflowing_logits_are_an_error_without_a_warning(self, cast):
         # pytest turns any RuntimeWarning into an error (pyproject.toml)
