@@ -203,16 +203,16 @@ def diversity_loss(saliency):
 def sgd_step(params, grads, lr):
     """params - lr * grads; refuses non-finite gradients and a step that
     overflows a parameter."""
-    for name in ("W1", "b1", "W2", "b2"):
-        if not np.all(np.isfinite(grads[name])):
-            raise NonFiniteError("non-finite gradient in %s" % name)
-    with np.errstate(over="ignore"):
-        stepped = MlpParams(params.W1 - lr * grads["W1"], params.b1 - lr * grads["b1"],
-                            params.W2 - lr * grads["W2"], params.b2 - lr * grads["b2"])
-    for name in ("W1", "b1", "W2", "b2"):
-        if not np.all(np.isfinite(getattr(stepped, name))):
-            raise NonFiniteError("the step overflows %s" % name)
-    return stepped
+    stepped = {}
+    with np.errstate(over="raise"):
+        for name in ("W1", "b1", "W2", "b2"):
+            if not np.all(np.isfinite(grads[name])):
+                raise NonFiniteError("non-finite gradient in %s" % name)
+            try:
+                stepped[name] = getattr(params, name) - lr * grads[name]
+            except FloatingPointError:
+                raise NonFiniteError("the step overflows %s" % name) from None
+    return MlpParams(**stepped)
 
 
 def mil_loss_and_grads(params, x, action_set):
